@@ -6,8 +6,9 @@ experiment harnesses stand on (docs/PERFORMANCE.md):
 * the decode-once **lockstep executor** vs one-shot ``run_binary``
   on a single binary;
 * one full **ten-implementation oracle step** with the lockstep fast
-  path vs the reference interpreter (``REPRO_NO_LOCKSTEP=1``) — the
-  quantity every campaign's exec/sec hangs off;
+  path vs the reference interpreter (one-shot ``run_binary`` on each
+  implementation's binary) — the quantity every campaign's exec/sec
+  hangs off;
 * **batched engine submission** (one task carrying all inputs of a
   program) vs per-execution task submission at the same worker count.
 
@@ -29,13 +30,13 @@ which re-measures and checks the deterministic columns.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import sys
 import time
 
 from repro.compiler import compile_source, implementation
 from repro.core.compdiff import CompDiff
+from repro.core.hashing import observation_checksum
 from repro.minic import load
 from repro.parallel.engine import BatchJob, ParallelEngine, ProgramPayload
 from repro.vm import ForkServer, run_binary
@@ -138,18 +139,31 @@ def _oracle_checksums(engine: CompDiff) -> list[dict[str, int]]:
     ]
 
 
-def _measure_oracle_step() -> dict:
-    ref_env = dict(REPRO_NO_LOCKSTEP="1")
+def _reference_checksums(engine: CompDiff) -> list[dict[str, int]]:
+    """The oracle step on the reference interpreter: one ``run_binary``
+    per implementation, checksummed through the engine's normalizer."""
+    servers = engine.build_source(SOURCE)
+    return [
+        {
+            name: observation_checksum(
+                engine.normalizer.normalize_observation(
+                    run_binary(
+                        server.binary, i, fuel=engine.fuel, layout=server.layout
+                    ).observation()
+                )
+            )
+            for name, server in servers.items()
+        }
+        for i in INPUTS
+    ]
 
+
+def _measure_oracle_step() -> dict:
     best_ref = None
     for _ in range(ITERATIONS):
-        os.environ.update(ref_env)
-        try:
-            started = time.perf_counter()
-            ref = _oracle_checksums(CompDiff())
-            wall = time.perf_counter() - started
-        finally:
-            os.environ.pop("REPRO_NO_LOCKSTEP", None)
+        started = time.perf_counter()
+        ref = _reference_checksums(CompDiff())
+        wall = time.perf_counter() - started
         best_ref = wall if best_ref is None else min(best_ref, wall)
 
     best_lock = None

@@ -123,8 +123,10 @@ class ShardPolicy:
     #: Seconds a shard's heartbeat may stand still before the shard is
     #: declared hung and killed.  ``None`` disables the watchdog.  Must
     #: comfortably exceed the cost of one seed (generate + diff +
-    #: reduce), which is wall-clock work, not a hang.
-    seed_deadline: Optional[float] = 120.0
+    #: reduce), which is wall-clock work, not a hang: ub generator seed 5
+    #: takes 169-198 s run serially on a 2-vCPU VM, so the default is
+    #: about three times that.
+    seed_deadline: Optional[float] = 600.0
     #: Blamed failures a seed may accumulate before quarantine.
     max_seed_attempts: int = 3
     #: Relaunches a shard may consume before its range is adopted

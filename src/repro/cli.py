@@ -837,14 +837,18 @@ def cmd_targets(args: argparse.Namespace) -> int:
 
 
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
+    from repro.campaigns.runtime import ShardPolicy
+
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the seed range across this many "
                              "supervised worker processes (needs "
                              "--checkpoint-dir; merged corpus is "
                              "byte-identical to a serial run)")
-    parser.add_argument("--seed-deadline", type=float, default=120.0,
+    parser.add_argument("--seed-deadline", type=float,
+                        default=ShardPolicy.seed_deadline,
                         help="seconds a shard may sit on one seed before "
-                             "it is declared hung and restarted")
+                             "it is declared hung and restarted "
+                             "(default: %(default)s)")
     parser.add_argument("--max-seed-attempts", type=int, default=3,
                         help="blamed failures before a seed is quarantined "
                              "as poison and skipped")

@@ -144,7 +144,6 @@ class _Reply:
     crc: int = 0
     #: Executor deltas for this task (folded into EngineStats parent-side).
     lockstep_runs: int = 0
-    fallback_runs: int = 0
     decode_hits: int = 0
     decode_misses: int = 0
 
@@ -231,7 +230,7 @@ def _worker_run(task: _Task) -> _Reply:
     evictions0 = cache.stats.evictions
     results: list[tuple[int, str, ExecutionResult]] = []
     failed: list[tuple[str, str]] = []
-    executor = [0, 0, 0, 0]  # lockstep, fallback, decode hits, decode misses
+    executor = [0, 0, 0]  # lockstep runs, decode hits, decode misses
     for config in task.configs:
         try:
             server = _worker_server(task.payload, config, task.base_fuel)
@@ -240,12 +239,7 @@ def _worker_run(task: _Task) -> _Reply:
             # cross-check rather than killing the task (and the batch).
             failed.append((config.name, f"compile failed: {exc}"))
             continue
-        counters0 = (
-            server.lockstep_runs,
-            server.fallback_runs,
-            server.decode_hits,
-            server.decode_misses,
-        )
+        counters0 = (server.lockstep_runs, server.decode_hits, server.decode_misses)
         try:
             for input_idx, input_bytes, fuel in task.runs:
                 result = server.run(input_bytes, fuel=fuel)
@@ -259,9 +253,8 @@ def _worker_run(task: _Task) -> _Reply:
             results = [r for r in results if r[1] != config.name]
             failed.append((config.name, f"execution failed: {exc}"))
         executor[0] += server.lockstep_runs - counters0[0]
-        executor[1] += server.fallback_runs - counters0[1]
-        executor[2] += server.decode_hits - counters0[2]
-        executor[3] += server.decode_misses - counters0[3]
+        executor[1] += server.decode_hits - counters0[1]
+        executor[2] += server.decode_misses - counters0[2]
     crc = _results_crc(results)
     if task.fault == CORRUPT:
         crc ^= CORRUPT_CRC_MASK
@@ -275,9 +268,8 @@ def _worker_run(task: _Task) -> _Reply:
         seconds=time.perf_counter() - started,
         crc=crc,
         lockstep_runs=executor[0],
-        fallback_runs=executor[1],
-        decode_hits=executor[2],
-        decode_misses=executor[3],
+        decode_hits=executor[1],
+        decode_misses=executor[2],
     )
 
 
@@ -487,7 +479,6 @@ class ParallelEngine:
             self.stats.record_batch(reply.seconds)
             self.stats.record_executor(
                 lockstep=reply.lockstep_runs,
-                fallback=reply.fallback_runs,
                 decode_hits=reply.decode_hits,
                 decode_misses=reply.decode_misses,
                 batches=1,

@@ -69,10 +69,8 @@ class EngineStats:
     #: compiles only: worker replies carry cache counters, not schedules.
     pass_timings: dict[str, list] = field(default_factory=dict)
     #: Executor accounting (the decode-once lockstep path, PERFORMANCE.md):
-    #: executions served from decoded instruction tables vs the reference
-    #: interpreter fallback (coverage/trace runs or REPRO_NO_LOCKSTEP=1).
+    #: executions served from decoded instruction tables.
     lockstep_runs: int = 0
-    fallback_runs: int = 0
     #: Decode-cache accounting: a hit reuses a binary's DecodedProgram, a
     #: miss decodes the IR into flat tables (once per binary per process).
     decode_hits: int = 0
@@ -153,7 +151,6 @@ class EngineStats:
     def record_executor(
         self,
         lockstep: int = 0,
-        fallback: int = 0,
         decode_hits: int = 0,
         decode_misses: int = 0,
         batches: int = 0,
@@ -162,7 +159,6 @@ class EngineStats:
         """Fold executor counters in — called by stats-wired ForkServers on
         every run and by the parent when folding worker reply deltas."""
         self.lockstep_runs += lockstep
-        self.fallback_runs += fallback
         self.decode_hits += decode_hits
         self.decode_misses += decode_misses
         self.executor_batches += batches
@@ -206,7 +202,6 @@ class EngineStats:
         self.checkpoint_latencies = list(other.checkpoint_latencies)
         self.pass_timings = {name: list(row) for name, row in other.pass_timings.items()}
         self.lockstep_runs = other.lockstep_runs
-        self.fallback_runs = other.fallback_runs
         self.decode_hits = other.decode_hits
         self.decode_misses = other.decode_misses
         self.executor_batches = other.executor_batches
@@ -238,7 +233,6 @@ class EngineStats:
             self.record_pass(name, row[0], row[1], row[2])
         self.record_executor(
             lockstep=other.lockstep_runs,
-            fallback=other.fallback_runs,
             decode_hits=other.decode_hits,
             decode_misses=other.decode_misses,
             batches=other.executor_batches,
@@ -296,7 +290,6 @@ class EngineStats:
             "timeouts": {"retries": self.timeout_retries},
             "executor": {
                 "lockstep_runs": self.lockstep_runs,
-                "fallback_runs": self.fallback_runs,
                 "decode_hits": self.decode_hits,
                 "decode_misses": self.decode_misses,
                 "batches": self.executor_batches,
@@ -361,10 +354,9 @@ class EngineStats:
             )
         lines.append(f"timeout retries: {snap['timeouts']['retries']}")
         executor = snap["executor"]
-        if executor["lockstep_runs"] or executor["fallback_runs"]:
+        if executor["lockstep_runs"]:
             lines.append(
-                f"executor: {executor['lockstep_runs']} lockstep / "
-                f"{executor['fallback_runs']} fallback; decode cache "
+                f"executor: {executor['lockstep_runs']} lockstep runs; decode cache "
                 f"{executor['decode_hits']} hits / {executor['decode_misses']} misses"
             )
             if executor["batches"]:

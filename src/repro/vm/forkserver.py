@@ -3,18 +3,18 @@
 Real AFL++ injects a forkserver so the target's process image is set up
 once and each test case only pays for a fork (§3.2, [26]).  The analog
 here: the :class:`~repro.vm.memory.ImageLayout` (global layout, frame
-layouts, coverage ids) is computed once per binary, and every ``run`` gets
-a fresh :class:`~repro.vm.machine.Machine` that merely copies the
-pre-built segment templates.
+layouts, coverage ids) is computed once per binary, and every ``run``
+gets a fresh machine that merely copies the pre-built segment templates.
 
-Since the throughput rearchitecture the forkserver also owns the binary's
+The forkserver also owns the binary's
 :class:`~repro.vm.lockstep.DecodedProgram`: the first execution decodes
-the IR into flat pre-resolved instruction tables, and every subsequent
-input runs from that decoded form (a decode-cache hit).  Executions that
-need coverage maps or line traces fall back to the reference
-:class:`~repro.vm.machine.Machine`; ``REPRO_NO_LOCKSTEP=1`` forces the
-fallback globally and ``REPRO_VERIFY_LOCKSTEP=1`` cross-checks every
-lockstep run against the reference interpreter (docs/PERFORMANCE.md).
+the IR into flat pre-resolved instruction tables, and every execution,
+with or without a coverage map, runs from that decoded form (later runs
+are decode-cache hits).  A coverage-instrumented binary decodes its
+jumps and branches into steps that record AFL edges.
+``REPRO_VERIFY_LOCKSTEP=1`` replays every run on the reference
+:class:`~repro.vm.machine.Machine` and compares the two, coverage trace
+included (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from repro.vm.machine import DEFAULT_FUEL
 from repro.vm.memory import ImageLayout
 
 #: Fields that must agree between the lockstep and reference interpreters
-#: under REPRO_VERIFY_LOCKSTEP=1.  ``line_trace`` is excluded (the
-#: fallback path owns tracing); ``output_checksum`` is transport, not
-#: an observation.
+#: under REPRO_VERIFY_LOCKSTEP=1.  ``line_trace`` is excluded (only the
+#: reference interpreter traces lines); ``output_checksum`` is transport,
+#: not an observation.
 _VERIFY_FIELDS = (
     "stdout",
     "stderr",
@@ -51,14 +51,12 @@ class ForkServer:
         self,
         binary: CompiledBinary,
         fuel: int = DEFAULT_FUEL,
-        lockstep: bool = True,
         stats=None,
     ) -> None:
         self.binary = binary
         self.fuel = fuel
         self.layout = ImageLayout(binary)
         self.executions = 0
-        self.lockstep = lockstep and os.environ.get("REPRO_NO_LOCKSTEP") != "1"
         self._verify = os.environ.get("REPRO_VERIFY_LOCKSTEP") == "1"
         #: Optional EngineStats sink; counters below are always kept so
         #: engine workers can report deltas without holding a stats object.
@@ -67,7 +65,6 @@ class ForkServer:
         self.decode_hits = 0
         self.decode_misses = 0
         self.lockstep_runs = 0
-        self.fallback_runs = 0
 
     def decoded(self) -> DecodedProgram:
         """The binary's decoded instruction tables, built on first use."""
@@ -80,20 +77,13 @@ class ForkServer:
         return decoded
 
     def run(self, input_bytes: bytes, fuel: int | None = None, coverage=None) -> ExecutionResult:
-        """Execute one input (the "forked child")."""
+        """Execute one input (the "forked child").
+
+        *coverage* receives the run's AFL edges when the binary is
+        coverage-instrumented; callers reset its trace before each run.
+        """
         self.executions += 1
         use_fuel = fuel if fuel is not None else self.fuel
-        if coverage is not None or not self.lockstep:
-            self.fallback_runs += 1
-            if self.stats is not None:
-                self.stats.record_executor(fallback=1)
-            return run_binary(
-                self.binary,
-                input_bytes=input_bytes,
-                fuel=use_fuel,
-                layout=self.layout,
-                coverage=coverage,
-            )
         warm = self._decoded is not None
         decoded = self.decoded()
         if warm:
@@ -101,17 +91,37 @@ class ForkServer:
         self.lockstep_runs += 1
         if self.stats is not None:
             self.stats.record_executor(lockstep=1, decode_hits=int(warm))
-        result = run_lockstep(decoded, input_bytes=input_bytes, fuel=use_fuel)
+        result = run_lockstep(
+            decoded, input_bytes=input_bytes, fuel=use_fuel, coverage=coverage
+        )
         if self._verify:
-            self._cross_check(result, input_bytes, use_fuel)
+            self._cross_check(result, input_bytes, use_fuel, coverage)
         return result
 
-    def _cross_check(self, result: ExecutionResult, input_bytes: bytes, fuel: int) -> None:
+    def _cross_check(
+        self, result: ExecutionResult, input_bytes: bytes, fuel: int, coverage
+    ) -> None:
+        # Imported here: repro.fuzzing imports this module.
+        from repro.fuzzing.coverage import CoverageMap
+
+        # The reference records into its own map, so the caller's map
+        # holds exactly the lockstep run's edges whatever the outcome.
+        traced = coverage is not None and self.binary.instrument_coverage
+        reference_map = CoverageMap(coverage.size) if traced else None
         reference = run_binary(
-            self.binary, input_bytes=input_bytes, fuel=fuel, layout=self.layout
+            self.binary,
+            input_bytes=input_bytes,
+            fuel=fuel,
+            layout=self.layout,
+            coverage=reference_map,
         )
-        for field in _VERIFY_FIELDS:
-            got, want = getattr(result, field), getattr(reference, field)
+        checks = [
+            (field, getattr(result, field), getattr(reference, field))
+            for field in _VERIFY_FIELDS
+        ]
+        if traced:
+            checks.append(("coverage trace", coverage.trace, reference_map.trace))
+        for field, got, want in checks:
             if got != want:
                 raise ReproError(
                     f"lockstep divergence on {self.binary.name}: "

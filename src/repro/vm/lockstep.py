@@ -23,9 +23,18 @@ instruction of a sanitized binary) executes through the *same* unbound
 kept as a machine attribute — builtins charge per-byte fuel on the
 machine directly — and the per-instruction ordering (advance, count,
 burn fuel, check timeout, dispatch) matches ``Machine._loop`` exactly,
-so fuel-timeout boundaries land on the same instruction.  Set
-``REPRO_VERIFY_LOCKSTEP=1`` to cross-check every lockstep execution
-against the reference machine (see docs/PERFORMANCE.md).
+so fuel-timeout boundaries land on the same instruction.
+
+A coverage-instrumented binary (the fuzzer's B_fuzz) records the same
+AFL edges as the reference: its ``Jump`` and ``Branch`` decode into
+steps that carry the target block's coverage id, looked up once at
+decode time, and :meth:`LockstepMachine._push_call` records the
+callee-entry edge.  ``ForkServer`` therefore runs every execution,
+coverage runs included, from the decoded form; only line tracing
+(``localize``) stays on the reference machine.  Set
+``REPRO_VERIFY_LOCKSTEP=1`` to cross-check every ForkServer execution,
+edge trace included, against the reference machine (see
+docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -151,11 +160,42 @@ def _int_op_fn(op: str, itype: IntType) -> Callable | None:
     return None
 
 
-def _decode_instr(instr, layout: ImageLayout, frame_layout, sanitized: bool):
+def _transfer_step(target: str, label_ids, generic: Callable) -> Callable:
+    """An unconditional transfer to block *target*.
+
+    With ``label_ids`` (a coverage-instrumented binary) the step is
+    ``Machine._enter_block`` with the target's coverage id resolved at
+    decode time; whether a run carries a map is a per-run property, so
+    the step checks ``machine.coverage``.
+    """
+    if label_ids is None:
+        def step(machine, frame, arg, _t=target):
+            frame.label = _t
+            return True
+
+        return step
+    target_id = label_ids.get(target)
+    if target_id is None:
+        return generic  # no such block: the reference raises
+
+    def step(machine, frame, arg, _t=target, _id=target_id):
+        frame.label = _t
+        coverage = machine.coverage
+        if coverage is not None:
+            coverage.record_edge(machine._prev_location, _id)
+            machine._prev_location = _id
+        return True
+
+    return step
+
+
+def _decode_instr(instr, layout: ImageLayout, frame_layout, sanitized: bool, label_ids):
     """One instruction → one step callable ``(machine, frame, instr) -> ...``.
 
     A non-None return from a step signals a control transfer, mirroring
-    the reference dispatch protocol.
+    the reference dispatch protocol.  ``label_ids`` maps the function's
+    block labels to coverage ids when the binary is coverage-instrumented
+    (None otherwise); ``Jump`` and ``Branch`` then record AFL edges.
     """
     kind = type(instr)
     generic = _DISPATCH.get(kind)
@@ -408,26 +448,41 @@ def _decode_instr(instr, layout: ImageLayout, frame_layout, sanitized: bool):
         return step
 
     if kind is Jump:
-        def step(machine, frame, arg, _t=instr.target):
-            frame.label = _t
-            return True
-
-        return step
+        return _transfer_step(instr.target, label_ids, generic)
 
     if kind is Branch:
-        if isinstance(instr.cond, Reg):
+        if not isinstance(instr.cond, Reg):
+            target = instr.if_true if instr.cond else instr.if_false
+            return _transfer_step(target, label_ids, generic)
+        if label_ids is not None:
+            true_id = label_ids.get(instr.if_true)
+            false_id = label_ids.get(instr.if_false)
+            if true_id is None or false_id is None:
+                return generic
+
             def step(
                 machine, frame, arg,
                 _c=instr.cond.id, _t=instr.if_true, _e=instr.if_false,
+                _ti=true_id, _ei=false_id,
             ):
-                frame.label = _t if frame.regs[_c] else _e
+                if frame.regs[_c]:
+                    frame.label, cur = _t, _ti
+                else:
+                    frame.label, cur = _e, _ei
+                coverage = machine.coverage
+                if coverage is not None:
+                    coverage.record_edge(machine._prev_location, cur)
+                    machine._prev_location = cur
                 return True
-        else:
-            target = instr.if_true if instr.cond else instr.if_false
 
-            def step(machine, frame, arg, _t=target):
-                frame.label = _t
-                return True
+            return step
+
+        def step(
+            machine, frame, arg,
+            _c=instr.cond.id, _t=instr.if_true, _e=instr.if_false,
+        ):
+            frame.label = _t if frame.regs[_c] else _e
+            return True
 
         return step
 
@@ -483,14 +538,21 @@ class DecodedFunction:
         self.block_offsets = block_offsets
 
 
-def _decode_function(func, layout: ImageLayout, sanitized: bool) -> DecodedFunction:
+def _decode_function(
+    func, layout: ImageLayout, sanitized: bool, instrumented: bool
+) -> DecodedFunction:
     frame_layout = layout.frames.get(func.name)
+    label_ids = (
+        {label: layout.label_ids[(func.name, label)] for label in func.blocks}
+        if instrumented
+        else None
+    )
     code: list[tuple] = []
     block_offsets: dict[str, int] = {}
     for label, block in func.blocks.items():
         block_offsets[label] = len(code)
         for instr in block.instrs:
-            step = _decode_instr(instr, layout, frame_layout, sanitized)
+            step = _decode_instr(instr, layout, frame_layout, sanitized, label_ids)
             code.append((step, instr, step in _GENERIC_STEPS))
         code.append((None, label, False))
     return DecodedFunction(func, code, block_offsets)
@@ -506,7 +568,9 @@ class DecodedProgram:
         self.layout = layout if layout is not None else ImageLayout(binary)
         sanitized = binary.sanitizer is not None
         self.functions = {
-            name: _decode_function(func, self.layout, sanitized)
+            name: _decode_function(
+                func, self.layout, sanitized, binary.instrument_coverage
+            )
             for name, func in binary.module.functions.items()
         }
         self.instruction_count = sum(
@@ -521,9 +585,9 @@ class _LFrame(_Frame):
 class LockstepMachine(Machine):
     """Reference-semantics interpreter over a :class:`DecodedProgram`.
 
-    Never instantiated with coverage or line tracing — callers fall back
-    to the reference :class:`Machine` for those (ForkServer counts them
-    as fallback executions).
+    Records AFL edges into ``coverage`` exactly as :class:`Machine` does
+    when the binary is coverage-instrumented.  Line tracing is not
+    supported: ``localize`` runs it on the reference :class:`Machine`.
     """
 
     def __init__(
@@ -531,19 +595,20 @@ class LockstepMachine(Machine):
         decoded: DecodedProgram,
         input_bytes: bytes = b"",
         fuel: int = DEFAULT_FUEL,
+        coverage=None,
     ) -> None:
         super().__init__(
             decoded.binary,
             input_bytes=input_bytes,
             fuel=fuel,
             layout=decoded.layout,
+            coverage=coverage,
         )
         self.decoded = decoded
 
     def _push_call(self, callee: str, args: list, ret_reg, line: int) -> None:
         # Mirrors Machine._push_call but builds an _LFrame positioned at
-        # the callee's decoded entry offset.  Coverage edges are omitted:
-        # lockstep machines never carry a coverage map.
+        # the callee's decoded entry offset.
         func = self.module.functions.get(callee)
         if func is None:
             raise VMError(f"call to undefined function {callee!r}")
@@ -576,6 +641,10 @@ class LockstepMachine(Machine):
         frame.decoded = decoded
         frame.pc = offset
         self._frames.append(frame)
+        if self.coverage is not None:
+            cur = self.layout.label_ids[(func.name, func.entry)]
+            self.coverage.record_edge(self._prev_location, cur)
+            self._prev_location = cur
 
     def _loop(self) -> None:
         # Per-instruction ordering is the reference loop's, verbatim:
@@ -633,9 +702,12 @@ def run_lockstep(
     decoded: DecodedProgram,
     input_bytes: bytes = b"",
     fuel: int = DEFAULT_FUEL,
+    coverage=None,
 ) -> ExecutionResult:
     """Execute one input from decoded form; mirrors :func:`run_binary`."""
-    machine = LockstepMachine(decoded, input_bytes=input_bytes, fuel=fuel)
+    machine = LockstepMachine(
+        decoded, input_bytes=input_bytes, fuel=fuel, coverage=coverage
+    )
     exit_code, trap, sanitizer_stop = machine.run()
     return collect_result(machine, exit_code, trap, sanitizer_stop)
 

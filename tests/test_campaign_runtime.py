@@ -124,6 +124,17 @@ def test_shard_policy_validation():
     assert ShardPolicy().backoff(0) == ShardPolicy().backoff_base
 
 
+def test_default_seed_deadline_outlasts_a_slow_seed():
+    # ub generator seed 5 takes 169-198 s serially; a slow seed is not a
+    # hang.  The CLI reads the same default, so it lives in one place.
+    from repro.cli import build_parser
+
+    assert ShardPolicy().seed_deadline >= 3 * 198
+    for command in (["generate", "--corpus", "c"], ["sancheck", "--bank", "b"]):
+        args = build_parser().parse_args(command)
+        assert args.seed_deadline == ShardPolicy().seed_deadline
+
+
 def test_shard_fault_plan_is_pure_and_validates():
     plan = ShardFaultPlan(seed=3, crash=0.5, hang=0.25)
     decisions = [plan.decide(offset, 0) for offset in range(50)]

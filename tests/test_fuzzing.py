@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fuzzing import CompDiffFuzzer, CoverageMap, FuzzerOptions, MutationEngine, SeedPool
 from repro.fuzzing.mutators import MAX_INPUT_SIZE, build_dictionary
+from repro.targets import build_target
 
 
 class TestCoverageMap:
@@ -243,3 +245,34 @@ class TestCampaign:
         second = CompDiffFuzzer(GATED_TARGET, [b"M\x00xxxx"], options).run()
         assert first.diffs_found == second.diffs_found
         assert first.edges_covered == second.edges_covered
+
+
+def _inputs_digest(inputs) -> str:
+    """Order-sensitive digest of a sequence of byte strings."""
+    h = hashlib.sha256()
+    for data in inputs:
+        h.update(len(data).to_bytes(4, "little"))
+        h.update(data)
+    return h.hexdigest()[:16]
+
+
+class TestFixedSeedCampaign:
+    def test_tcpdump_campaign_is_pinned(self):
+        # Algorithm 1 end to end on one target: any drift in B_fuzz's edge
+        # trace, its instruction counts or the oracle verdicts moves the
+        # queue and the saved diffs.  Values recorded on the reference
+        # interpreter's coverage runs.
+        target = build_target("tcpdump")
+        options = FuzzerOptions(rng_seed=0, max_executions=500, compdiff_stride=3)
+        fuzzer = CompDiffFuzzer(target.source, target.seeds, options, name="tcpdump")
+        result = fuzzer.run()
+        assert (
+            result.executions,
+            result.oracle_executions,
+            result.edges_covered,
+            result.queue_size,
+            result.diffs_found,
+            result.crashes_found,
+        ) == (500, 170, 72, 17, 19, 0)
+        assert _inputs_digest(seed.data for seed in fuzzer.pool.seeds) == "d8d79c8e838d2ada"
+        assert _inputs_digest(diff.input for diff in result.diffs) == "9c68989fb7f1ca43"

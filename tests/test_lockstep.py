@@ -8,9 +8,11 @@ reference run in every observable field — outputs, exit status, trap
 kind, sanitizer report, bug sites, and the executed-instruction count
 (which the fuel/timeout semantics hang off).  These tests pin that
 contract over the full golden compile corpus (385 programs × 10
-implementations) and over every terminal status class, and exercise the
-ForkServer routing (decode cache, coverage fallback, REPRO_NO_LOCKSTEP,
-REPRO_VERIFY_LOCKSTEP) plus the executor's k-1 degrade hook.
+implementations), over the same corpus built as the coverage-instrumented
+fuzz binary B_fuzz (where the AFL edge trace must match too), and over
+every terminal status class.  They also exercise the ForkServer (decode
+cache for every run, coverage runs included, and the REPRO_VERIFY_LOCKSTEP
+audit) plus the executor's k-1 degrade hook.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import sys
 
 import pytest
 
-from repro.compiler import compile_source
+from repro.compiler import FUZZ_CONFIG, compile_source
 from repro.compiler.implementations import DEFAULT_IMPLEMENTATIONS, implementation
 from repro.errors import ReproError
+from repro.fuzzing import CoverageMap, FuzzerOptions
 from repro.juliet import build_suite
 from repro.parallel.stats import EngineStats
 from repro.vm import DecodedProgram, ForkServer, LockstepExecutor, run_binary, run_lockstep
@@ -32,10 +35,13 @@ from repro.vm.memory import ImageLayout
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
+#: The fuzzer's per-execution instruction budget for B_fuzz runs.
+FUZZ_FUEL = FuzzerOptions().fuel
 
 #: Every observable an oracle verdict can depend on.  ``line_trace`` is
-#: excluded by design (tracing runs take the reference path) and
-#: ``output_checksum`` is transport filled in by the engine, not the VM.
+#: excluded by design (only the reference interpreter traces lines, for
+#: ``localize``) and ``output_checksum`` is transport filled in by the
+#: engine, not the VM.  Coverage runs compare the edge trace as well.
 IDENTITY_FIELDS = (
     "stdout",
     "stderr",
@@ -114,6 +120,33 @@ class TestGoldenCorpusIdentity:
                 for payload in (b"", b"\x00", b"hello", bytes(range(64))):
                     lock, ref = both_runs(binary, input_bytes=payload)
                     assert_identical(lock, ref, f"{key}/{config.name}/{payload!r}")
+
+    def test_coverage_runs_match_reference_over_golden_corpus(self, corpus):
+        # Every program built as B_fuzz, with and without asan: the
+        # ForkServer's decoded coverage runs must record the reference
+        # interpreter's edge trace and agree on every observable.
+        mismatches = []
+        for key, source in corpus.items():
+            for sanitizer in (None, "asan"):
+                binary = compile_source(
+                    source, FUZZ_CONFIG, name=key,
+                    instrument_coverage=True, sanitizer=sanitizer,
+                )
+                server = ForkServer(binary, fuel=FUZZ_FUEL)
+                for payload in (b"", b"AB\x00\xff"):
+                    lock_map, ref_map = CoverageMap(), CoverageMap()
+                    lock = server.run(payload, coverage=lock_map)
+                    ref = run_binary(
+                        binary, payload, fuel=FUZZ_FUEL,
+                        layout=server.layout, coverage=ref_map,
+                    )
+                    context = (key, sanitizer, payload)
+                    if lock_map.trace != ref_map.trace:
+                        mismatches.append((*context, "coverage"))
+                    for field in IDENTITY_FIELDS:
+                        if getattr(lock, field) != getattr(ref, field):
+                            mismatches.append((*context, field))
+        assert not mismatches, f"{len(mismatches)} diverged: {mismatches[:10]}"
 
 
 CRASH_NULL = """
@@ -217,6 +250,17 @@ class TestStatusParity:
 
 class TestForkServerRouting:
     SRC = 'int main(void){ printf("%u", input_size()); return 0; }'
+    #: Loops, a conditional branch and a call: every kind of AFL edge.
+    BRANCHY = """
+int half(int n) { if (n > 2) { return n / 2; } return n; }
+int main(void) {
+  int total = 0;
+  unsigned int i = 0u;
+  while (i < input_size()) { total = total + half((int)i); i = i + 1u; }
+  printf("%d", total);
+  return 0;
+}
+"""
 
     def test_decode_cache_hits_and_stats(self):
         stats = EngineStats()
@@ -227,22 +271,31 @@ class TestForkServerRouting:
             assert server.run(payload).stdout == str(i).encode()
         assert server.decode_misses == 1
         assert server.decode_hits == 2
-        assert server.lockstep_runs == 3 and server.fallback_runs == 0
+        assert server.lockstep_runs == 3
         snap = stats.snapshot()["executor"]
         assert snap["lockstep_runs"] == 3
         assert snap["decode_hits"] == 2 and snap["decode_misses"] == 1
 
-    def test_coverage_forces_reference_fallback(self):
-        server = ForkServer(compile_source(self.SRC, implementation("gcc-O0")))
-        server.run(b"", coverage=set())
-        assert server.fallback_runs == 1 and server.lockstep_runs == 0
+    def test_coverage_runs_hit_decode_cache_and_match_reference(self):
+        binary = compile_source(self.BRANCHY, FUZZ_CONFIG, instrument_coverage=True)
+        server = ForkServer(binary)
+        coverage = CoverageMap()
+        for payload in (b"", b"a", b"abc", b"abcdef"):
+            coverage.reset_trace()
+            result = server.run(payload, coverage=coverage)
+            reference_map = CoverageMap()
+            reference = run_binary(binary, payload, coverage=reference_map)
+            assert coverage.trace == reference_map.trace
+            assert coverage.trace, "instrumented run recorded no edges"
+            assert_identical(result, reference, repr(payload))
+        assert server.decode_misses == 1 and server.decode_hits == 3
+        assert server.lockstep_runs == 4
 
-    def test_no_lockstep_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_LOCKSTEP", "1")
-        server = ForkServer(compile_source(self.SRC, implementation("gcc-O0")))
-        result = server.run(b"xyz")
-        assert result.stdout == b"3"
-        assert server.fallback_runs == 1 and server.lockstep_runs == 0
+    def test_uninstrumented_binary_ignores_coverage_map(self):
+        server = ForkServer(compile_source(self.BRANCHY, implementation("gcc-O0")))
+        coverage = CoverageMap()
+        server.run(b"abc", coverage=coverage)
+        assert coverage.trace == {}
 
     def test_verify_mode_accepts_identical_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_LOCKSTEP", "1")
@@ -255,14 +308,43 @@ class TestForkServerRouting:
         monkeypatch.setenv("REPRO_VERIFY_LOCKSTEP", "1")
         server = ForkServer(compile_source(self.SRC, implementation("gcc-O0")))
 
-        def tampered(decoded, input_bytes, fuel):
-            result = run_lockstep(decoded, input_bytes=input_bytes, fuel=fuel)
+        def tampered(decoded, input_bytes, fuel, coverage=None):
+            result = run_lockstep(
+                decoded, input_bytes=input_bytes, fuel=fuel, coverage=coverage
+            )
             result.stdout = result.stdout + b"!"
             return result
 
         monkeypatch.setattr(forkserver_mod, "run_lockstep", tampered)
         with pytest.raises(ReproError, match="lockstep divergence"):
             server.run(b"")
+
+    def test_verify_mode_checks_coverage_runs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY_LOCKSTEP", "1")
+        binary = compile_source(self.BRANCHY, FUZZ_CONFIG, instrument_coverage=True)
+        server = ForkServer(binary)
+        coverage = CoverageMap()
+        server.run(b"abcd", coverage=coverage)
+        # The audit's reference replay records into its own map.
+        expected = CoverageMap()
+        run_binary(binary, b"abcd", coverage=expected)
+        assert coverage.trace == expected.trace
+
+    def test_verify_mode_catches_tampered_edge_step(self, monkeypatch):
+        import repro.vm.lockstep as lockstep_mod
+
+        monkeypatch.setenv("REPRO_VERIFY_LOCKSTEP", "1")
+        binary = compile_source(self.BRANCHY, FUZZ_CONFIG, instrument_coverage=True)
+        transfer_step = lockstep_mod._transfer_step
+
+        def off_by_one(target, label_ids, generic):
+            shifted = {label: cid + 1 for label, cid in label_ids.items()}
+            return transfer_step(target, shifted, generic)
+
+        monkeypatch.setattr(lockstep_mod, "_transfer_step", off_by_one)
+        server = ForkServer(binary)
+        with pytest.raises(ReproError, match="lockstep divergence.*coverage trace"):
+            server.run(b"abc", coverage=CoverageMap())
 
 
 class TestLockstepExecutor:
