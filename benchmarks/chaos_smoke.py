@@ -8,9 +8,12 @@ the quarantine ledger.  This script drives that invariant end-to-end
 with real subprocess shards, real SIGKILLs, and a really corrupted
 checkpoint:
 
-1. a fault-free serial generative campaign (the reference corpus);
+1. a fault-free serial generative campaign (the reference corpus),
+   banking through a fresh corpus DB;
 2. the same campaign under ``--shards 2`` with a crash, a checkpoint
-   corruption, and a hang injected — must merge byte-identical;
+   corruption, and a hang injected, merging through a second fresh
+   DB — must merge byte-identical, and both DBs must hold the same
+   class keys as the bank;
 3. the same campaign with a poison seed — must quarantine exactly that
    seed into the ledger and complete with the rest of the corpus;
 4. a sharded sancheck campaign over the planted fixtures — must match
@@ -34,12 +37,8 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.campaigns.runtime import (
-    CampaignRuntime,
-    GenerativeShardAdapter,
-    SancheckShardAdapter,
-    ShardPolicy,
-)
+from repro.campaigns.runtime import CampaignRuntime, ShardPolicy
+from repro.db import CLASS_GENERATIVE, CorpusDB
 from repro.generative.bank import CorpusBank
 from repro.generative.campaign import GenerativeCampaign, GenerativeOptions
 from repro.parallel.faults import ShardFaultPlan
@@ -72,15 +71,17 @@ def gen_options() -> GenerativeOptions:
     return GenerativeOptions(seed=0, budget=BUDGET, reduce=False, stabilize_budget=4)
 
 
-def run_sharded(workdir: str, name: str, fault_plan, policy=POLICY):
+def run_sharded(workdir: str, name: str, fault_plan, policy=POLICY, db=None):
     bank_dir = os.path.join(workdir, f"{name}-merged")
     runtime = CampaignRuntime(
-        GenerativeShardAdapter(gen_options()),
+        GenerativeCampaign,
+        gen_options(),
         CorpusBank(bank_dir),
         root=os.path.join(workdir, f"{name}-campaign"),
         shards=2,
         policy=policy,
         fault_plan=fault_plan,
+        db=db,
     )
     result = runtime.run()
     return runtime, result, corpus_bytes(bank_dir)
@@ -93,7 +94,10 @@ def main() -> int:
         print(f"chaos smoke: {BUDGET}-seed generative campaign, 2 shards")
 
         serial_dir = os.path.join(workdir, "serial")
-        with GenerativeCampaign(gen_options(), CorpusBank(serial_dir)) as campaign:
+        serial_db = CorpusDB(os.path.join(workdir, "serial.db"))
+        with GenerativeCampaign(
+            gen_options(), CorpusBank(serial_dir), db=serial_db
+        ) as campaign:
             serial = campaign.run()
         reference = corpus_bytes(serial_dir)
         ok &= check(
@@ -103,7 +107,10 @@ def main() -> int:
         )
 
         plan = ShardFaultPlan(once={1: "crash", 2: "hang", 3: "corrupt"})
-        runtime, merged, merged_bytes = run_sharded(workdir, "faulted", plan)
+        faulted_db = CorpusDB(os.path.join(workdir, "faulted.db"))
+        runtime, merged, merged_bytes = run_sharded(
+            workdir, "faulted", plan, db=faulted_db
+        )
         shards = runtime.stats.snapshot()["shards"]
         ok &= check(
             "crash+hang+corrupt: merged corpus byte-identical to serial",
@@ -116,6 +123,15 @@ def main() -> int:
             == (serial.generated, serial.banked_new, serial.keys),
         )
         ok &= check("no seeds quarantined by transient faults", not runtime.quarantine)
+        serial_classes = serial_db.class_keys(CLASS_GENERATIVE)
+        ok &= check(
+            "--db: serial and crash+hang+corrupt runs claimed the same classes",
+            serial_classes == faulted_db.class_keys(CLASS_GENERATIVE)
+            == set(CorpusBank(serial_dir).keys()),
+            f"{len(serial_classes)} classes",
+        )
+        serial_db.close()
+        faulted_db.close()
 
         poison_policy = ShardPolicy(
             seed_deadline=8.0, max_seed_attempts=2, backoff_base=0.01, backoff_max=0.1
@@ -142,7 +158,8 @@ def main() -> int:
             san_serial = c.run()
         san_merged_dir = os.path.join(workdir, "san-merged")
         san_runtime = CampaignRuntime(
-            SancheckShardAdapter(san_options),
+            SancheckCampaign,
+            san_options,
             FindingBank(san_merged_dir),
             root=os.path.join(workdir, "san-campaign"),
             shards=2,

@@ -3,8 +3,9 @@
 Campaigns in this repo are deterministic walks over a seed range, so
 parallelising them is a *partitioning* problem, not a queueing one: the
 range is split into contiguous blocks, one per shard, and each shard
-worker process drives the ordinary single-process campaign
-(:class:`~repro.generative.campaign.GenerativeCampaign` or
+worker process drives the ordinary campaign kernel
+(:class:`~repro.campaigns.kernel.Campaign`, e.g.
+:class:`~repro.generative.campaign.GenerativeCampaign` or
 :class:`~repro.sanval.campaign.SancheckCampaign`) over its block with
 its own checkpoint directory and its own bank shard.  Because blocks are
 contiguous and in shard order, concatenating shard results reproduces
@@ -42,9 +43,10 @@ Supervision (one poll loop, no threads):
   the same corpus.
 
 The merge replays serial banking order: shard key streams are
-concatenated in shard order, and each key's banked entry is the one
-discovered at the lowest global seed offset — exactly the entry a
-serial run would have banked first.  Invariant (pinned by
+concatenated in shard order and run through the kernel's banking step
+(:func:`~repro.campaigns.kernel.bank_step`), each key's entry taken from
+the first shard bank that holds it — the lowest-offset entry, exactly
+the one a serial run would have banked first.  Invariant (pinned by
 ``tests/test_campaign_runtime.py`` and ``make chaos``): for any
 :class:`~repro.parallel.faults.ShardFaultPlan`, the merged corpus is
 byte-identical to a fault-free serial run, minus only the contributions
@@ -56,7 +58,7 @@ Layout under the campaign root::
     quarantine.json        # poison-seed ledger, append-only
     shard-00/
         heartbeat.json     # {"offset": N, "pid": P} at each boundary
-        result.rec         # RPRSHRD1 record once the block completed
+        result.rec         # campaign state record once the block completed
         ckpt/              # the shard campaign's ordinary checkpoint
         bank/              # the shard's private bank
 """
@@ -70,17 +72,21 @@ import shutil
 import signal
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
+from repro.campaigns.kernel import (
+    STATE_MAGIC,
+    Campaign,
+    CampaignState,
+    bank_step,
+    read_state,
+)
 from repro.campaigns.sigint import DeferredInterrupt
 from repro.errors import CheckpointError, EngineConfigError, ReproError
 from repro.parallel.faults import ShardFaultPlan, execute_shard_fault
 from repro.parallel.stats import EngineStats
 from repro.parallel.supervisor import QuarantineEntry, backoff_delay
-from repro.persist import atomic_write_json, read_record, write_record
-
-#: Shard result record magic (distinct from every campaign checkpoint).
-SHARD_MAGIC = b"RPRSHRD1"
+from repro.persist import atomic_write_json, write_record
 
 #: Files under the campaign root / each shard directory.
 SHARDS_FILE = "shards.json"
@@ -160,282 +166,14 @@ class ShardPolicy:
         )
 
 
-@dataclass
-class ShardRecord:
-    """A completed shard's durable result (``result.rec``)."""
-
-    options_digest: str
-    lo: int
-    hi: int
-    #: The shard campaign's ordinary result object
-    #: (GenerativeResult or SancheckResult).
-    result: object
-
-
-# --------------------------------------------------------------------------
-# Campaign adapters
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class GenerativeShardAdapter:
-    """Runs :class:`~repro.generative.campaign.GenerativeCampaign` slices.
-
-    Picklable (plain options dataclass inside) so shard workers can be
-    spawned as well as forked.  ``min_banked`` early exit is disabled on
-    shards — it is order-dependent and would break the byte-identity
-    contract — and the differential engine runs single-worker inside
-    each shard (the shard *is* the parallelism).
-    """
-
-    options: object  # GenerativeOptions
-
-    kind = "generative"
-
-    @property
-    def checkpoint_file(self) -> str:
-        from repro.generative.campaign import CHECKPOINT_FILE
-
-        return CHECKPOINT_FILE
-
-    def digest(self) -> str:
-        return self.options.digest()
-
-    def total(self) -> int:
-        return self.options.budget
-
-    def label(self, offset: int) -> str:
-        options = self.options
-        return f"gen-{options.profile}-{options.seed + offset}"
-
-    def run_slice(
-        self,
-        lo: int,
-        hi: int,
-        skip: frozenset[int],
-        bank_dir: str,
-        ckpt_dir: str,
-        progress: Optional[Callable[[int], None]],
-    ):
-        from repro.generative.bank import CorpusBank
-        from repro.generative.campaign import GenerativeCampaign
-
-        options = replace(
-            self.options,
-            checkpoint_dir=ckpt_dir,
-            # Boundary-exact checkpoints: an injected crash at offset k
-            # resumes at exactly k, so shard counters never drift.
-            checkpoint_every=1,
-            min_banked=None,
-            workers=1,
-        )
-        bank = CorpusBank(bank_dir)
-        with GenerativeCampaign(
-            options,
-            bank,
-            seed_slice=(lo, hi),
-            skip_offsets=skip,
-            progress=progress,
-            interruptible=False,
-        ) as campaign:
-            return campaign.run()
-
-    def merge(self, bank, payloads: list[tuple[ShardRecord, str]], db=None):
-        """Merge shard banks + results into *bank*, serial-identically.
-
-        Shard key streams concatenated in shard order reproduce serial
-        discovery order (blocks are contiguous), and each key's winning
-        entry is the shard-bank entry with the lowest global seed
-        offset — the entry a serial run would have banked.
-
-        With a shared :class:`~repro.db.CorpusDB`, each key is claimed
-        in the database before banking: a class another campaign (or
-        shard cluster sharing the DB) already registered counts as a
-        duplicate instead of re-banking.  ``db=None`` is byte-identical
-        to the pre-DB merge.
-        """
-        from repro.generative.bank import CorpusBank
-        from repro.generative.campaign import GenerativeResult
-
-        merged = GenerativeResult()
-        winners: dict[str, tuple[int, object]] = {}
-        for record, bank_dir in payloads:
-            for repro in CorpusBank(bank_dir):
-                offset = repro.seed - self.options.seed
-                current = winners.get(repro.key)
-                if current is None or offset < current[0]:
-                    winners[repro.key] = (offset, repro)
-            result = record.result
-            merged.generated += result.generated
-            merged.divergent += result.divergent
-            merged.keys.extend(result.keys)
-        for key in merged.keys:
-            if key in bank:
-                merged.duplicates += 1
-                continue
-            entry = winners[key][1]
-            if db is not None and not _db_claim_generative(db, entry):
-                merged.duplicates += 1
-                continue
-            bank.add(entry)
-            merged.banked_new += 1
-            if entry.culprit_drifted:
-                merged.drifted += 1
-        if db is not None:
-            db.commit()
-        merged.corpus_size = len(bank)
-        return merged
-
-
-@dataclass
-class SancheckShardAdapter:
-    """Runs :class:`~repro.sanval.campaign.SancheckCampaign` slices."""
-
-    options: object  # SancheckOptions
-
-    kind = "sancheck"
-
-    @property
-    def checkpoint_file(self) -> str:
-        from repro.sanval.campaign import CHECKPOINT_FILE
-
-        return CHECKPOINT_FILE
-
-    def digest(self) -> str:
-        return self.options.digest()
-
-    def total(self) -> int:
-        from repro.sanval.campaign import build_seeds
-
-        return len(build_seeds(self.options))
-
-    def label(self, offset: int) -> str:
-        from repro.sanval.campaign import seed_labels
-
-        labels = seed_labels(self.options)
-        return labels[offset] if 0 <= offset < len(labels) else f"seed-{offset}"
-
-    def run_slice(
-        self,
-        lo: int,
-        hi: int,
-        skip: frozenset[int],
-        bank_dir: str,
-        ckpt_dir: str,
-        progress: Optional[Callable[[int], None]],
-    ):
-        from repro.sanval.bank import FindingBank
-        from repro.sanval.campaign import SancheckCampaign
-
-        options = replace(
-            self.options,
-            checkpoint_dir=ckpt_dir,
-            checkpoint_every=1,
-            workers=1,
-        )
-        bank = FindingBank(bank_dir)
-        with SancheckCampaign(
-            options,
-            bank=bank,
-            seed_slice=(lo, hi),
-            skip_offsets=skip,
-            progress=progress,
-            interruptible=False,
-        ) as campaign:
-            return campaign.run()
-
-    def merge(self, bank, payloads: list[tuple[ShardRecord, str]], db=None):
-        """Merge shard banks + results into *bank*, serial-identically.
-
-        Verdicts concatenate in shard order (each shard judged only its
-        block, in order), and banking replays the FN/FP verdict stream:
-        a key's winner is the entry banked by the shard whose block
-        first produced it.  A shared :class:`~repro.db.CorpusDB` adds
-        cross-campaign dedupe exactly as in the generative merge;
-        ``db=None`` is byte-identical to the pre-DB merge.
-        """
-        from repro.sanval.bank import FindingBank, finding_key
-        from repro.sanval.campaign import SancheckResult
-        from repro.sanval.verdict import FN, FP
-
-        merged = SancheckResult()
-        shard_banks = []
-        for record, bank_dir in payloads:
-            result = record.result
-            merged.seeds += result.seeds
-            merged.variants += result.variants
-            merged.dropped += result.dropped
-            merged.screened += result.screened
-            merged.skipped += result.skipped
-            merged.verdicts.extend(result.verdicts)
-            shard_banks.append(FindingBank(bank_dir))
-        if bank is not None:
-            for (record, _), shard_bank in zip(payloads, shard_banks):
-                for verdict in record.result.verdicts:
-                    if verdict.outcome not in (FN, FP):
-                        continue
-                    kinds = (
-                        verdict.expected
-                        if verdict.outcome == FN
-                        else verdict.reported_kinds
-                    )
-                    key = finding_key(
-                        verdict.sanitizer,
-                        verdict.outcome,
-                        kinds,
-                        verdict.truth.confirmed_checkers,
-                        verdict.truth.oracle_fingerprints,
-                        verdict.truth.partition,
-                    )
-                    if key in bank:
-                        merged.duplicates += 1
-                        continue
-                    entry = shard_bank.get(key)
-                    if entry is None:
-                        continue
-                    if db is not None and not _db_claim_sancheck(db, entry):
-                        merged.duplicates += 1
-                        continue
-                    if bank.add(entry):
-                        merged.banked_new += 1
-            if db is not None:
-                db.commit()
-            merged.bank_size = len(bank)
-        return merged
-
-
-def _db_claim_generative(db, repro) -> bool:
-    """Claim a generative repro's class in the shared DB (True = ours)."""
-    from repro.db import CLASS_GENERATIVE
-
-    fingerprint = db.add_program(repro.source, name=f"gen/{repro.key}")
-    for checker, diag in zip(repro.checkers, repro.fingerprints):
-        db.add_diagnostic(fingerprint, checker, diag)
-    record = dict(repro.to_json())
-    record["_source"] = repro.source
-    record["_good_source"] = repro.good_source
-    return db.register_class(CLASS_GENERATIVE, repro.key, fingerprint, record)
-
-
-def _db_claim_sancheck(db, finding) -> bool:
-    """Claim a sanval finding's class in the shared DB (True = ours)."""
-    from repro.db import CLASS_SANCHECK
-
-    fingerprint = db.add_program(finding.source, name=f"sanval/{finding.key}")
-    for checker, diag in zip(finding.checkers, finding.oracle_fingerprints):
-        db.add_diagnostic(fingerprint, checker, diag)
-    record = dict(finding.to_json())
-    record["_source"] = finding.source
-    return db.register_class(CLASS_SANCHECK, finding.key, fingerprint, record)
-
-
 # --------------------------------------------------------------------------
 # Shard worker
 # --------------------------------------------------------------------------
 
 
 def _shard_worker(
-    adapter,
+    campaign: type[Campaign],
+    options,
     lo: int,
     hi: int,
     skip: frozenset[int],
@@ -460,7 +198,10 @@ def _shard_worker(
     heartbeat_path = os.path.join(shard_dir, HEARTBEAT_FILE)
     ckpt_dir = os.path.join(shard_dir, SHARD_CKPT_DIR)
     bank_dir = os.path.join(shard_dir, SHARD_BANK_DIR)
-    ckpt_path = os.path.join(ckpt_dir, adapter.checkpoint_file)
+    ckpt_path = os.path.join(ckpt_dir, campaign.checkpoint_file)
+    # Boundary-exact checkpoints: an injected crash at offset k resumes
+    # at exactly k.  The shard *is* the parallelism, so one engine worker.
+    options = replace(options, checkpoint_dir=ckpt_dir, checkpoint_every=1, workers=1)
 
     def progress(offset: int) -> None:
         atomic_write_json(heartbeat_path, {"offset": offset, "pid": os.getpid()})
@@ -469,8 +210,19 @@ def _shard_worker(
             if kind is not None:
                 execute_shard_fault(kind, checkpoint_path=ckpt_path)
 
+    def run_block():
+        with campaign(
+            options,
+            campaign.bank_type(bank_dir),
+            seed_slice=(lo, hi),
+            skip_offsets=skip,
+            progress=progress,
+            interruptible=False,
+        ) as walk:
+            return walk.run()
+
     try:
-        result = adapter.run_slice(lo, hi, skip, bank_dir, ckpt_dir, progress)
+        result = run_block()
     except ReproError:
         # Torn/corrupt shard state (CheckpointError from the checkpoint,
         # ReproError from the bank manifest): wipe this shard only and
@@ -478,11 +230,11 @@ def _shard_worker(
         # campaign error and propagates.
         shutil.rmtree(ckpt_dir, ignore_errors=True)
         shutil.rmtree(bank_dir, ignore_errors=True)
-        result = adapter.run_slice(lo, hi, skip, bank_dir, ckpt_dir, progress)
+        result = run_block()
     write_record(
         os.path.join(shard_dir, RESULT_FILE),
-        SHARD_MAGIC,
-        ShardRecord(options_digest=adapter.digest(), lo=lo, hi=hi, result=result),
+        STATE_MAGIC,
+        CampaignState(campaign.kind, options.digest(), lo, hi, result),
     )
 
 
@@ -503,14 +255,16 @@ class _ShardState:
 class CampaignRuntime:
     """Partition a campaign across shard workers and merge their banks.
 
-    ``run()`` returns the same result type the underlying campaign's
-    serial ``run()`` would; recovery accounting lands in :attr:`stats`
-    and poison seeds in :attr:`quarantine`.
+    Takes the campaign class and its options.  ``run()`` returns the
+    same result a serial ``campaign(options, bank).run()`` would;
+    recovery accounting lands in :attr:`stats` and poison seeds in
+    :attr:`quarantine`.
     """
 
     def __init__(
         self,
-        adapter,
+        campaign: type[Campaign],
+        options,
         bank,
         root: str,
         shards: int,
@@ -521,12 +275,17 @@ class CampaignRuntime:
     ) -> None:
         if shards < 1:
             raise EngineConfigError(f"shards must be >= 1, got {shards}")
-        self.adapter = adapter
+        if getattr(options, "min_banked", None) is not None:
+            raise EngineConfigError(
+                "min_banked stops a campaign in discovery order and cannot be sharded"
+            )
+        self.campaign = campaign
+        self.options = options
         self.bank = bank
         self.root = root
         self.shards = shards
-        #: Optional shared :class:`~repro.db.CorpusDB` consulted at merge
-        #: time for cross-shard/cross-campaign class dedupe.
+        #: Optional shared :class:`~repro.db.CorpusDB` consulted by the
+        #: merge's banking step for cross-campaign class dedupe.
         self.db = db
         self.policy = policy if policy is not None else ShardPolicy()
         self.fault_plan = fault_plan
@@ -554,8 +313,8 @@ class CampaignRuntime:
 
     def _load_or_create_plan(self) -> None:
         """Adopt the durable shard plan, refusing incompatible reuse."""
-        total = self.adapter.total()
-        digest = self.adapter.digest()
+        total = len(self.campaign.seeds(self.options))
+        digest = self.options.digest()
         path = self._shards_path()
         if os.path.exists(path):
             try:
@@ -633,7 +392,7 @@ class CampaignRuntime:
             return
         entry = QuarantineEntry(
             seq=offset,
-            label=self.adapter.label(offset),
+            label=self.campaign.label(self.options, offset),
             attempts=self._attempts.get(offset, 0),
             reason=reason,
         )
@@ -644,20 +403,18 @@ class CampaignRuntime:
 
     # ------------------------------------------------------------- shard io
 
-    def _shard_record(self, index: int) -> ShardRecord | None:
-        """The shard's completed result, or None if absent/invalid."""
+    def _shard_record(self, index: int) -> CampaignState | None:
+        """The shard's completed state record, or None if absent/invalid."""
         path = os.path.join(self._shard_dir(index), RESULT_FILE)
         if not os.path.exists(path):
             return None
         try:
-            record = read_record(path, SHARD_MAGIC, ShardRecord)
+            state = read_state(path, self.campaign.kind, self.options.digest())
         except CheckpointError:
             return None
-        if record.options_digest != self.adapter.digest():
+        if (state.start, state.offset) != self._ranges[index]:
             return None
-        if (record.lo, record.hi) != self._ranges[index]:
-            return None
-        return record
+        return state
 
     def _read_heartbeat(self, index: int) -> Optional[int]:
         path = os.path.join(self._shard_dir(index), HEARTBEAT_FILE)
@@ -721,7 +478,8 @@ class CampaignRuntime:
         process = context.Process(
             target=_shard_worker,
             args=(
-                self.adapter,
+                self.campaign,
+                self.options,
                 lo,
                 hi,
                 frozenset(self._skip),
@@ -817,7 +575,8 @@ class CampaignRuntime:
         self.stats.record_shard_adoption()
         lo, hi = self._ranges[index]
         _shard_worker(
-            self.adapter,
+            self.campaign,
+            self.options,
             lo,
             hi,
             frozenset(self._skip),
@@ -829,17 +588,39 @@ class CampaignRuntime:
     # --------------------------------------------------------------- merge
 
     def _merge(self):
-        payloads = []
+        """Fold the finished shards into one result, banking serially.
+
+        Walk counters add up in shard order.  Banking replays the
+        concatenated key streams (serial discovery order, blocks being
+        contiguous) through :func:`~repro.campaigns.kernel.bank_step`,
+        taking each key's entry from the first shard bank that holds it.
+        """
+        merged = self.campaign.result_type()
+        banks = []
         for index in range(self.shards):
             lo, hi = self._ranges[index]
             if lo >= hi:
                 continue
-            record = self._shard_record(index)
-            if record is None:  # pragma: no cover - run() drives all shards
+            state = self._shard_record(index)
+            if state is None:  # pragma: no cover - run() drives all shards
                 raise CheckpointError(
                     f"shard {index} finished without a valid result record"
                 )
-            payloads.append(
-                (record, os.path.join(self._shard_dir(index), SHARD_BANK_DIR))
+            merged.absorb(state.result)
+            banks.append(
+                self.campaign.bank_type(
+                    os.path.join(self._shard_dir(index), SHARD_BANK_DIR)
+                )
             )
-        return self.adapter.merge(self.bank, payloads, db=self.db)
+        if self.bank is not None:
+            for key in merged.keys:
+                entry = bank_step(
+                    self.bank,
+                    key,
+                    lambda: next(shard.get(key) for shard in banks if key in shard),
+                    self.db,
+                    self.campaign.kind,
+                )
+                merged.count(entry)
+        merged.finish(self.bank)
+        return merged

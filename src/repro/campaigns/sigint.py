@@ -2,16 +2,16 @@
 
 A Ctrl-C that lands mid-seed can tear state the campaign was about to
 checkpoint — the byte-input fuzzer already defers the signal to its
-iteration boundary and flushes before raising (ISSUE 5); this context
-manager gives the generative and sanval campaign loops the same
-behavior without each reimplementing the handler dance.
+iteration boundary and flushes before raising; this context manager
+gives the campaign kernel's seed walk (:mod:`repro.campaigns.kernel`)
+the same behavior.
 
 Usage::
 
     with DeferredInterrupt(enabled=...) as intr:
         for offset in ...:
             if intr.pending:
-                self._save_checkpoint(processed_through, result)
+                self._save_state(lo, reached, result)
                 raise KeyboardInterrupt("campaign interrupted; checkpoint flushed")
             ...
 

@@ -176,6 +176,61 @@ def _print_shard_summary(runtime) -> None:
         print(f"  quarantined offset {entry.seq} ({entry.label}): {entry.reason}")
 
 
+def _run_campaign(args, command, campaign, options, bank_dir, resume, report) -> int:
+    """Run a seed-list campaign serially or under ``--shards``, then report.
+
+    Shared by ``generate`` and ``sancheck``: the serial/sharded choice,
+    the ``--db`` open and close, and the Ctrl-C message (*resume* is the
+    command that continues the run).  *report* is called as
+    ``report(args, result, runtime, bank)`` (``runtime`` is None for a
+    serial run) and returns the exit code.
+    """
+    checkpoint_dir = options.checkpoint_dir
+    if args.shards > 1 and not checkpoint_dir:
+        print(
+            f"{command}: --shards needs --checkpoint-dir (shard state lives there)",
+            file=sys.stderr,
+        )
+        return 2
+    bank = campaign.bank_type(bank_dir) if bank_dir else None
+    try:
+        db = _open_db_arg(args.db)
+    except ReproError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 2
+    runtime = None
+    try:
+        if args.shards > 1:
+            from repro.campaigns.runtime import CampaignRuntime
+
+            runtime = CampaignRuntime(
+                campaign,
+                options,
+                bank,
+                root=checkpoint_dir,
+                shards=args.shards,
+                policy=_shard_policy(args),
+                db=db,
+            )
+            result = runtime.run()
+        else:
+            with campaign(options, bank, db=db) as walk:
+                result = walk.run()
+    except KeyboardInterrupt:
+        if checkpoint_dir:
+            print(
+                f"interrupted: checkpoint in {checkpoint_dir}; continue with {resume}",
+                file=sys.stderr,
+            )
+        else:
+            print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
+        return 130
+    finally:
+        if db is not None:
+            db.close()
+    return report(args, result, runtime, bank)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     """`repro generate`: a generative fuzzing campaign.
 
@@ -189,24 +244,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
     least one new repro (or found no divergence but completed), 1 when
     ``--min-banked`` was requested and not reached.
     """
-    from repro.generative import CorpusBank, GenerativeCampaign, GenerativeOptions
+    from repro.generative import GenerativeCampaign, GenerativeOptions
 
+    if args.shards > 1 and args.min_banked is not None:
+        print(
+            "generate: --min-banked is discovery-order-dependent and "
+            "incompatible with --shards",
+            file=sys.stderr,
+        )
+        return 2
     checkpoint_dir = args.checkpoint_dir or args.resume
-    if args.shards > 1:
-        if not checkpoint_dir:
-            print(
-                "generate: --shards needs --checkpoint-dir "
-                "(shard state lives there)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.min_banked is not None:
-            print(
-                "generate: --min-banked is discovery-order-dependent and "
-                "incompatible with --shards",
-                file=sys.stderr,
-            )
-            return 2
     options = GenerativeOptions(
         seed=args.seed,
         budget=args.budget,
@@ -219,44 +266,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         workers=args.workers,
     )
-    bank = CorpusBank(args.corpus)
-    try:
-        db = _open_db_arg(args.db)
-    except ReproError as exc:
-        print(f"generate: {exc}", file=sys.stderr)
-        return 2
-    runtime = None
-    try:
-        if args.shards > 1:
-            from repro.campaigns.runtime import CampaignRuntime, GenerativeShardAdapter
+    resume = f"`repro generate --corpus {args.corpus} --resume {checkpoint_dir}`"
+    return _run_campaign(
+        args, "generate", GenerativeCampaign, options, args.corpus, resume,
+        _report_generate,
+    )
 
-            runtime = CampaignRuntime(
-                GenerativeShardAdapter(options),
-                bank,
-                root=checkpoint_dir,
-                shards=args.shards,
-                policy=_shard_policy(args),
-                db=db,
-            )
-            result = runtime.run()
-        else:
-            with GenerativeCampaign(options, bank) as campaign:
-                result = campaign.run()
-            if db is not None:
-                db.import_corpus_bank(bank)
-    except KeyboardInterrupt:
-        if checkpoint_dir:
-            print(
-                f"interrupted: checkpoint in {checkpoint_dir}; continue with "
-                f"`repro generate --corpus {args.corpus} --resume {checkpoint_dir}`",
-                file=sys.stderr,
-            )
-        else:
-            print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
-        return 130
-    finally:
-        if db is not None:
-            db.close()
+
+def _report_generate(args, result, runtime, bank) -> int:
     print(result.render())
     if runtime is not None:
         _print_shard_summary(runtime)
@@ -285,15 +302,7 @@ def cmd_sancheck(args: argparse.Namespace) -> int:
     verdicts at any worker count.  Exit 1 when ``--min-fn``/``--min-fp``
     was requested and not reached.
     """
-    import json
-
-    from repro.sanval import (
-        RELOCATION_KINDS,
-        FindingBank,
-        SancheckCampaign,
-        SancheckOptions,
-    )
-    from repro.static_analysis import Baseline, to_sarif
+    from repro.sanval import RELOCATION_KINDS, SancheckCampaign, SancheckOptions
 
     if not (args.fixtures or args.corpus or args.budget > 0):
         print(
@@ -309,12 +318,6 @@ def cmd_sancheck(args: argparse.Namespace) -> int:
             print(f"sancheck: unknown relocation(s) {','.join(unknown)}", file=sys.stderr)
             return 2
     checkpoint_dir = args.checkpoint_dir or args.resume
-    if args.shards > 1 and not checkpoint_dir:
-        print(
-            "sancheck: --shards needs --checkpoint-dir (shard state lives there)",
-            file=sys.stderr,
-        )
-        return 2
     options = SancheckOptions(
         fixtures=args.fixtures,
         corpus=args.corpus,
@@ -329,44 +332,17 @@ def cmd_sancheck(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         workers=args.workers,
     )
-    bank = FindingBank(args.bank) if args.bank else None
-    try:
-        db = _open_db_arg(args.db)
-    except ReproError as exc:
-        print(f"sancheck: {exc}", file=sys.stderr)
-        return 2
-    runtime = None
-    try:
-        if args.shards > 1:
-            from repro.campaigns.runtime import CampaignRuntime, SancheckShardAdapter
+    resume = f"`repro sancheck --resume {checkpoint_dir}` plus the original flags"
+    return _run_campaign(
+        args, "sancheck", SancheckCampaign, options, args.bank, resume,
+        _report_sancheck,
+    )
 
-            runtime = CampaignRuntime(
-                SancheckShardAdapter(options),
-                bank,
-                root=checkpoint_dir,
-                shards=args.shards,
-                policy=_shard_policy(args),
-                db=db,
-            )
-            result = runtime.run()
-        else:
-            with SancheckCampaign(options, bank=bank) as campaign:
-                result = campaign.run()
-            if db is not None and bank is not None:
-                db.import_finding_bank(bank)
-    except KeyboardInterrupt:
-        if checkpoint_dir:
-            print(
-                f"interrupted: checkpoint in {checkpoint_dir}; continue with "
-                f"`repro sancheck --resume {checkpoint_dir}` plus the original flags",
-                file=sys.stderr,
-            )
-        else:
-            print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
-        return 130
-    finally:
-        if db is not None:
-            db.close()
+
+def _report_sancheck(args, result, runtime, bank) -> int:
+    import json
+
+    from repro.static_analysis import Baseline, to_sarif
 
     diagnostics = [d for v in result.findings() for d in v.reported]
     suppressed = 0
@@ -484,13 +460,10 @@ def cmd_db(args: argparse.Namespace) -> int:
                 kind = _detect_bank_kind(args.dir)
             if args.db_command == "import":
                 if kind == CLASS_GENERATIVE:
-                    from repro.generative import CorpusBank
-
-                    count = db.import_corpus_bank(CorpusBank(args.dir))
+                    from repro.generative import CorpusBank as bank_type
                 else:
-                    from repro.sanval import FindingBank
-
-                    count = db.import_finding_bank(FindingBank(args.dir))
+                    from repro.sanval import FindingBank as bank_type
+                count = db.import_bank(kind, bank_type(args.dir))
                 print(f"imported {count} new {kind} class(es) from {args.dir}")
             else:
                 if kind == CLASS_GENERATIVE:

@@ -8,17 +8,17 @@ cross-campaign substrate: one sqlite file storing
 * **programs** keyed by content fingerprint (the same
   :func:`~repro.parallel.cache.program_fingerprint` the compile cache
   and engine payloads use, so every layer agrees on identity);
-* **verdicts** — per (program, input) differential outcomes with their
-  per-implementation observation checksums;
 * **diagnostics** — UB-oracle checker fingerprints per program;
 * **classes** — banked equivalence classes (generative ``corpus_key`` /
   sanval ``finding_key``), each carrying the full banked record so a
   bank can be reconstituted from the DB alone.
 
-``register_class`` is the cross-shard dedupe primitive: the first
-shard (or campaign) to insert a class key wins, every later attempt
-returns False, and shard merges consult exactly that bit before
-re-banking a repro another campaign already holds.
+``register_class`` is the cross-campaign dedupe primitive: the first
+campaign (or shard merge) to insert a class key wins and every later
+attempt returns False.  :meth:`CorpusDB.claim` wraps it for one banked
+entry; the campaign kernel's banking step consults exactly that bit
+before banking a class another campaign already holds, and ``repro db
+import`` folds whole banks in through the same claim.
 
 sqlite provides transactional atomicity for the table data; the
 repo-wide magic+CRC record discipline (:mod:`repro.persist`) still
@@ -28,7 +28,9 @@ bit-rotten database is refused instead of silently queried.
 
 Schema changes bump :data:`DB_SCHEMA_VERSION`; there is deliberately no
 migration machinery — the DB is a cache of bank-derived facts and can
-be rebuilt from banks via ``repro db import``.
+be rebuilt from banks via ``repro db import``.  (Files written before the
+unused ``verdicts`` table was dropped still open: they keep the empty
+table, which nothing reads.)
 """
 
 from __future__ import annotations
@@ -58,14 +60,6 @@ CREATE TABLE IF NOT EXISTS programs (
     fingerprint TEXT PRIMARY KEY,
     name        TEXT NOT NULL DEFAULT '',
     source      TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS verdicts (
-    fingerprint TEXT NOT NULL,
-    input_hex   TEXT NOT NULL,
-    divergent   INTEGER NOT NULL,
-    degraded    INTEGER NOT NULL DEFAULT 0,
-    checksums   TEXT NOT NULL,
-    PRIMARY KEY (fingerprint, input_hex)
 );
 CREATE TABLE IF NOT EXISTS diagnostics (
     fingerprint      TEXT NOT NULL,
@@ -180,39 +174,6 @@ class CorpusDB:
         ).fetchone()
         return row[0] if row is not None else None
 
-    # -------------------------------------------------------------- verdicts
-
-    def record_verdict(self, fingerprint: str, diff) -> None:
-        """Store one :class:`~repro.core.compdiff.DiffResult` verdict."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO verdicts "
-            "(fingerprint, input_hex, divergent, degraded, checksums) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (
-                fingerprint,
-                diff.input.hex(),
-                int(diff.divergent),
-                int(diff.degraded),
-                json.dumps(dict(sorted(diff.checksums.items()))),
-            ),
-        )
-
-    def verdicts_for(self, fingerprint: str) -> list[dict]:
-        rows = self._conn.execute(
-            "SELECT input_hex, divergent, degraded, checksums FROM verdicts "
-            "WHERE fingerprint = ? ORDER BY input_hex",
-            (fingerprint,),
-        ).fetchall()
-        return [
-            {
-                "input": bytes.fromhex(input_hex),
-                "divergent": bool(divergent),
-                "degraded": bool(degraded),
-                "checksums": json.loads(checksums),
-            }
-            for input_hex, divergent, degraded, checksums in rows
-        ]
-
     # ----------------------------------------------------------- diagnostics
 
     def add_diagnostic(self, fingerprint: str, checker: str, diag_fingerprint: str) -> None:
@@ -245,6 +206,30 @@ class CorpusDB:
         )
         return cursor.rowcount > 0
 
+    def claim(self, kind: str, entry) -> bool:
+        """Register a banked entry's class, program and diagnostics.
+
+        *entry* is a generative :class:`~repro.generative.bank.BankedRepro`
+        or a sanval :class:`~repro.sanval.bank.BankedFinding`; the class
+        record is its manifest entry plus its sources, enough for the
+        ``export_*`` methods to rebuild it.  False when the class is
+        already held; claiming again is a no-op, not an error.
+        """
+        if kind == CLASS_GENERATIVE:
+            name, diagnostics = f"gen/{entry.key}", entry.fingerprints
+            record = dict(
+                entry.to_json(), _source=entry.source, _good_source=entry.good_source
+            )
+        elif kind == CLASS_SANCHECK:
+            name, diagnostics = f"sanval/{entry.key}", entry.oracle_fingerprints
+            record = dict(entry.to_json(), _source=entry.source)
+        else:
+            raise ReproError(f"unknown class kind {kind!r}; expected one of {CLASS_KINDS}")
+        fingerprint = self.add_program(entry.source, name=name)
+        for checker, diag in zip(entry.checkers, diagnostics):
+            self.add_diagnostic(fingerprint, checker, diag)
+        return self.register_class(kind, entry.key, fingerprint, record)
+
     def has_class(self, kind: str, key: str) -> bool:
         row = self._conn.execute(
             "SELECT 1 FROM classes WHERE kind = ? AND key = ?", (kind, key)
@@ -265,38 +250,9 @@ class CorpusDB:
 
     # ------------------------------------------------------------ bank bridge
 
-    def import_corpus_bank(self, bank) -> int:
-        """Fold a generative :class:`~repro.generative.bank.CorpusBank` in.
-
-        Every repro's reduced program lands in ``programs`` and its
-        equivalence class in ``classes`` (with the full banked record,
-        so :meth:`export_corpus_bank` can round-trip it).  Returns how
-        many classes were new to the DB.
-        """
-        imported = 0
-        for repro in bank.repros():
-            fingerprint = self.add_program(repro.source, name=f"gen/{repro.key}")
-            for checker, diag in zip(repro.checkers, repro.fingerprints):
-                self.add_diagnostic(fingerprint, checker, diag)
-            record = dict(repro.to_json())
-            record["_source"] = repro.source
-            record["_good_source"] = repro.good_source
-            if self.register_class(CLASS_GENERATIVE, repro.key, fingerprint, record):
-                imported += 1
-        self.commit()
-        return imported
-
-    def import_finding_bank(self, bank) -> int:
-        """Fold a sanval :class:`~repro.sanval.bank.FindingBank` in."""
-        imported = 0
-        for finding in bank.findings():
-            fingerprint = self.add_program(finding.source, name=f"sanval/{finding.key}")
-            for checker, diag in zip(finding.checkers, finding.oracle_fingerprints):
-                self.add_diagnostic(fingerprint, checker, diag)
-            record = dict(finding.to_json())
-            record["_source"] = finding.source
-            if self.register_class(CLASS_SANCHECK, finding.key, fingerprint, record):
-                imported += 1
+    def import_bank(self, kind: str, bank) -> int:
+        """Claim every entry of a *kind* bank; returns how many were new."""
+        imported = sum(self.claim(kind, entry) for entry in bank)
         self.commit()
         return imported
 
@@ -335,7 +291,7 @@ class CorpusDB:
     def stats(self) -> dict:
         """Counts per table (``repro db stats``)."""
         counts = {}
-        for table in ("programs", "verdicts", "diagnostics", "classes"):
+        for table in ("programs", "diagnostics", "classes"):
             (counts[table],) = self._conn.execute(
                 f"SELECT COUNT(*) FROM {table}"
             ).fetchone()
@@ -344,15 +300,10 @@ class CorpusDB:
                 "SELECT kind, COUNT(*) FROM classes GROUP BY kind ORDER BY kind"
             ).fetchall()
         )
-        divergent = self._conn.execute(
-            "SELECT COUNT(*) FROM verdicts WHERE divergent = 1"
-        ).fetchone()[0]
         return {
             "path": str(self.path),
             "schema_version": DB_SCHEMA_VERSION,
             "programs": counts["programs"],
-            "verdicts": counts["verdicts"],
-            "divergent_verdicts": divergent,
             "diagnostics": counts["diagnostics"],
             "classes": {"total": counts["classes"], **per_kind},
         }
@@ -362,8 +313,6 @@ class CorpusDB:
         lines = [
             f"corpus db: {stats['path']} (schema v{stats['schema_version']})",
             f"  programs:    {stats['programs']}",
-            f"  verdicts:    {stats['verdicts']} "
-            f"({stats['divergent_verdicts']} divergent)",
             f"  diagnostics: {stats['diagnostics']}",
             f"  classes:     {stats['classes']['total']}",
         ]

@@ -22,25 +22,22 @@ metadata rather than papered over: reduction preserves the divergence
 verdict by construction, but pass attribution is a property of the
 whole program and may legitimately move (docs/GENERATIVE.md).
 
-Campaigns are resumable: progress checkpoints ride the same atomic
-magic+CRC+pickle record as the byte-input fuzzer
-(:mod:`repro.persist`), and the bank's keyed dedupe makes replaying the
-seeds between the last checkpoint and a crash idempotent — a resumed
+The seed walk, its checkpoints and the banking step are the campaign
+kernel's (:mod:`repro.campaigns.kernel`); this module supplies the
+per-seed step.  The bank's keyed dedupe makes replaying the seeds
+between the last checkpoint and a crash idempotent, so a resumed
 campaign converges on the same corpus as an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
-from repro.campaigns.sigint import DeferredInterrupt
+from repro.campaigns.kernel import Campaign
 from repro.core.bisect import bisect_divergence, choose_bisection_pair
-from repro.core.compdiff import CompDiff, DiffResult
+from repro.core.compdiff import DiffResult
 from repro.core.triage import signature_of
-from repro.errors import CheckpointError
 from repro.generative.bank import (
     BASELINE_CULPRIT,
     BankedRepro,
@@ -57,14 +54,8 @@ from repro.generative.reducer import (
     single_step_variants,
 )
 from repro.minic import count_nodes, load
-from repro.persist import read_record, write_record
 from repro.static_analysis.diagnostics import to_diagnostics
 from repro.static_analysis.ub_oracle import CHECKER_CATEGORY, UBOracle
-
-#: Checkpoint record magic (distinct from the fuzzer's ``RPRCKPT1``).
-MAGIC = b"RPRGENC1"
-#: Checkpoint file name inside the checkpoint directory.
-CHECKPOINT_FILE = "generate.ckpt"
 
 #: Good twin of last resort when no single-step stabilization of the
 #: reduced repro is both non-divergent and oracle-clean.
@@ -114,21 +105,6 @@ class GenerativeOptions:
 
 
 @dataclass
-class GenerativeCheckpoint:
-    """Campaign progress at a seed boundary."""
-
-    options_digest: str
-    #: Seeds ``seed .. seed+offset-1`` are fully processed and banked.
-    offset: int
-    generated: int
-    divergent: int
-    banked_new: int
-    duplicates: int
-    drifted: int
-    keys: list[str] = field(default_factory=list)
-
-
-@dataclass
 class GenerativeResult:
     """Outcome of one campaign run."""
 
@@ -148,6 +124,24 @@ class GenerativeResult:
     #: Seed offset this run resumed from (None = fresh start).
     resumed_at: int | None = None
 
+    def absorb(self, shard: "GenerativeResult") -> None:
+        """Add a shard's walk counters (the merge recounts the banking)."""
+        self.generated += shard.generated
+        self.divergent += shard.divergent
+        self.keys.extend(shard.keys)
+
+    def count(self, entry: BankedRepro | None) -> None:
+        """Count one banking decision (``None`` is a duplicate)."""
+        if entry is None:
+            self.duplicates += 1
+            return
+        self.banked_new += 1
+        if entry.culprit_drifted:
+            self.drifted += 1
+
+    def finish(self, bank: CorpusBank) -> None:
+        self.corpus_size = len(bank)
+
     def render(self) -> str:
         lines = [
             f"generative campaign: {self.generated} generated, "
@@ -161,108 +155,41 @@ class GenerativeResult:
         return "\n".join(lines)
 
 
-class GenerativeCampaign:
+class GenerativeCampaign(Campaign):
     """Drives one seed range through generate→diff→reduce→bank.
 
-    ``seed_slice`` restricts the walk to global offsets ``[start, stop)``
-    of the budget — the hook the sharded runtime
-    (:mod:`repro.campaigns.runtime`) partitions a campaign with; the
-    default covers the whole budget.  ``skip_offsets`` are quarantined
-    poison seeds: they still advance the checkpoint but are never
-    processed.  ``progress`` is called with each global offset at the
-    seed boundary *before* that seed runs (shard workers hang their
-    heartbeat and fault injection on it).  ``interruptible`` controls
-    deferred-SIGINT handling; shard workers disable it so the supervisor
-    owns interrupt semantics.
+    The seed list is the generator seeds ``seed .. seed+budget-1``; the
+    walk, checkpoints and banking are :class:`~repro.campaigns.kernel.Campaign`'s.
+    ``policy``/``fault_plan`` configure the supervised worker pool the
+    campaign builds when no ``engine`` is passed.
     """
 
-    def __init__(
-        self,
-        options: GenerativeOptions,
-        bank: CorpusBank,
-        engine: CompDiff | None = None,
-        policy=None,
-        fault_plan=None,
-        seed_slice: tuple[int, int] | None = None,
-        skip_offsets: frozenset[int] = frozenset(),
-        progress: Optional[Callable[[int], None]] = None,
-        interruptible: bool = True,
-    ) -> None:
-        self.options = options
-        self.bank = bank
-        self.seed_slice = seed_slice
-        self.skip_offsets = frozenset(skip_offsets)
-        self.progress = progress
-        self.interruptible = interruptible
-        self._owns_engine = engine is None
-        if engine is None:
-            engine = CompDiff(
-                workers=options.workers, policy=policy, fault_plan=fault_plan
-            )
-        self.engine = engine
+    kind = "generative"
+    checkpoint_file = "generate.ckpt"
+    result_type = GenerativeResult
+    bank_type = CorpusBank
+
+    def __init__(self, options: GenerativeOptions, bank: CorpusBank, **kwargs) -> None:
+        super().__init__(options, bank, **kwargs)
         self.oracle = UBOracle(mode="interproc")
         self._intra_oracle = UBOracle(mode="intra")
 
-    def __enter__(self) -> "GenerativeCampaign":
-        return self
+    @staticmethod
+    def seeds(options: GenerativeOptions) -> range:
+        return range(options.seed, options.seed + options.budget)
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    @classmethod
+    def label(cls, options: GenerativeOptions, offset: int) -> str:
+        return f"gen-{options.profile}-{options.seed + offset}"
 
-    def close(self) -> None:
-        """Shut down the engine's worker pool if this campaign owns it."""
-        if self._owns_engine:
-            self.engine.close()
-
-    # ------------------------------------------------------------- campaign
-
-    def run(self) -> GenerativeResult:
-        options = self.options
-        lo, hi = self.seed_slice if self.seed_slice is not None else (0, options.budget)
-        result = GenerativeResult()
-        start = lo
-        checkpoint = self._load_checkpoint()
-        if checkpoint is not None:
-            start = max(lo, checkpoint.offset)
-            result.generated = checkpoint.generated
-            result.divergent = checkpoint.divergent
-            result.banked_new = checkpoint.banked_new
-            result.duplicates = checkpoint.duplicates
-            result.drifted = checkpoint.drifted
-            result.keys = list(checkpoint.keys)
-            result.resumed_at = start
-        processed_through = start
-        with DeferredInterrupt(enabled=self.interruptible) as intr:
-            for offset in range(start, hi):
-                if intr.pending:
-                    if options.checkpoint_dir is not None:
-                        self._save_checkpoint(processed_through, result)
-                    raise KeyboardInterrupt(
-                        "campaign interrupted; checkpoint flushed"
-                    )
-                if (
-                    options.min_banked is not None
-                    and result.banked_new >= options.min_banked
-                ):
-                    break
-                if self.progress is not None:
-                    self.progress(offset)
-                if offset not in self.skip_offsets:
-                    self._process(options.seed + offset, result)
-                processed_through = offset + 1
-                if (
-                    options.checkpoint_dir is not None
-                    and (offset + 1 - start) % options.checkpoint_every == 0
-                ):
-                    self._save_checkpoint(processed_through, result)
-        if options.checkpoint_dir is not None:
-            self._save_checkpoint(processed_through, result)
-        result.corpus_size = len(self.bank)
-        return result
+    def stop(self, result: GenerativeResult) -> bool:
+        # Discovery-order-dependent, so the sharded runtime refuses it.
+        min_banked = self.options.min_banked
+        return min_banked is not None and result.banked_new >= min_banked
 
     # ------------------------------------------------------------- one seed
 
-    def _process(self, seed: int, result: GenerativeResult) -> None:
+    def process(self, seed: int, result: GenerativeResult) -> None:
         options = self.options
         generated = generate_program(seed, options.profile)
         result.generated += 1
@@ -306,39 +233,33 @@ class GenerativeCampaign:
         checkers = {d.checker for d in diagnostics}
         categories = {CHECKER_CATEGORY.get(c, "Misc") for c in checkers}
         key = corpus_key(checkers, culprit_original, signature.partition)
-        result.keys.append(key)
-        if key in self.bank:
-            result.duplicates += 1
-            return
-        repro = BankedRepro(
-            key=key,
-            seed=seed,
-            profile=options.profile,
-            generator_version=generated.generator_version,
-            ub_shapes=generated.ub_shapes,
-            source=source,
-            good_source=self._stabilize(source, name),
-            inputs=list(options.inputs),
-            checkers=tuple(sorted(checkers)),
-            fingerprints=tuple(sorted(d.fingerprint for d in diagnostics)),
-            group=classify_group(categories),
-            partition=signature.partition,
-            impl_ref=impl_ref,
-            impl_target=impl_target,
-            culprit_original=culprit_original,
-            culprit_reduced=culprit_reduced,
-            culprit_drifted=culprit_reduced != culprit_original,
-            original_nodes=original_nodes,
-            reduced_nodes=reduced_nodes,
-            reduction_steps=steps,
-            reduction_tests=tests,
-        )
-        if self.bank.add(repro):
-            result.banked_new += 1
-            if repro.culprit_drifted:
-                result.drifted += 1
-        else:  # pragma: no cover - key checked above
-            result.duplicates += 1
+
+        def make_repro() -> BankedRepro:
+            return BankedRepro(
+                key=key,
+                seed=seed,
+                profile=options.profile,
+                generator_version=generated.generator_version,
+                ub_shapes=generated.ub_shapes,
+                source=source,
+                good_source=self._stabilize(source, name),
+                inputs=list(options.inputs),
+                checkers=tuple(sorted(checkers)),
+                fingerprints=tuple(sorted(d.fingerprint for d in diagnostics)),
+                group=classify_group(categories),
+                partition=signature.partition,
+                impl_ref=impl_ref,
+                impl_target=impl_target,
+                culprit_original=culprit_original,
+                culprit_reduced=culprit_reduced,
+                culprit_drifted=culprit_reduced != culprit_original,
+                original_nodes=original_nodes,
+                reduced_nodes=reduced_nodes,
+                reduction_steps=steps,
+                reduction_tests=tests,
+            )
+
+        self.bank_key(key, make_repro, result)
 
     def _attribute(
         self,
@@ -386,40 +307,3 @@ class GenerativeCampaign:
                 continue
             return candidate
         return FALLBACK_GOOD
-
-    # ---------------------------------------------------------- checkpoints
-
-    def _checkpoint_path(self) -> str:
-        assert self.options.checkpoint_dir is not None
-        return os.path.join(self.options.checkpoint_dir, CHECKPOINT_FILE)
-
-    def _save_checkpoint(self, offset: int, result: GenerativeResult) -> None:
-        write_record(
-            self._checkpoint_path(),
-            MAGIC,
-            GenerativeCheckpoint(
-                options_digest=self.options.digest(),
-                offset=offset,
-                generated=result.generated,
-                divergent=result.divergent,
-                banked_new=result.banked_new,
-                duplicates=result.duplicates,
-                drifted=result.drifted,
-                keys=list(result.keys),
-            ),
-        )
-
-    def _load_checkpoint(self) -> GenerativeCheckpoint | None:
-        if self.options.checkpoint_dir is None:
-            return None
-        path = self._checkpoint_path()
-        if not os.path.exists(path):
-            return None
-        checkpoint = read_record(path, MAGIC, GenerativeCheckpoint)
-        if checkpoint.options_digest != self.options.digest():
-            raise CheckpointError(
-                "generative checkpoint was written with different campaign "
-                "options; refusing to resume (move or delete "
-                f"{path!r} to start fresh)"
-            )
-        return checkpoint

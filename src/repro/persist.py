@@ -9,9 +9,10 @@ a power cut.  A kill at any instant leaves either the old file or the
 new one under the final name, never a torn hybrid.
 
 On top of that, :func:`write_record`/:func:`read_record` define the
-record shape every campaign checkpoint shares (the byte-input fuzzer in
-:mod:`repro.fuzzing.checkpoint`, the generative campaign, the sanval
-campaign, and the sharded runtime in :mod:`repro.campaigns.runtime`)::
+record shape every checkpoint shares (the byte-input fuzzer in
+:mod:`repro.fuzzing.checkpoint`, the campaign kernel's state record in
+:mod:`repro.campaigns.kernel` for both seed-list campaigns and the
+sharded runtime's shard results, and the corpus DB's sidecar)::
 
     8 bytes   format magic (per record type)
     4 bytes   CRC32 (big-endian) over the payload

@@ -24,10 +24,10 @@ relocation × sanitizer classification:
 Determinism is a hard contract: the same options over the same seed
 sources produce byte-identical verdict lists and scoreboards at any
 worker count (the differential engine already guarantees byte-identical
-verdicts; everything above it is sequential and sorted).  Campaigns
-checkpoint at seed boundaries with the same atomic magic+CRC record as
-the fuzzer and the generative campaign, and refuse to resume under
-changed options.
+verdicts; everything above it is sequential and sorted).  The seed walk,
+its checkpoints and the banking step are the campaign kernel's
+(:mod:`repro.campaigns.kernel`), shared with the generative campaign;
+a checkpoint written under changed options is refused.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
 
-from repro.campaigns.sigint import DeferredInterrupt
-from repro.core.compdiff import CompDiff
-from repro.errors import CheckpointError, ReproError
+from repro.campaigns.kernel import Campaign
+from repro.errors import ReproError
 from repro.generative.generator import generate_program
 from repro.generative.reducer import (
     DEFAULT_STEP_BUDGET,
@@ -50,7 +48,6 @@ from repro.generative.reducer import (
     single_step_variants,
 )
 from repro.minic import count_nodes, load
-from repro.persist import read_record, write_record
 from repro.sanval.bank import BankedFinding, FindingBank, finding_key
 from repro.sanval.relocate import RELOCATION_KINDS, relocation_variants
 from repro.sanval.verdict import (
@@ -64,11 +61,6 @@ from repro.sanval.verdict import (
     VerdictEngine,
 )
 from repro.static_analysis.ub_oracle import UBOracle
-
-#: Checkpoint record magic (distinct from fuzzer/generative campaigns).
-MAGIC = b"RPRSANC1"
-#: Checkpoint file name inside the checkpoint directory.
-CHECKPOINT_FILE = "sancheck.ckpt"
 
 #: Fixture-corpus manifest version.
 FIXTURES_VERSION = 1
@@ -142,23 +134,6 @@ class SancheckOptions:
 
 
 @dataclass
-class SancheckCheckpoint:
-    """Campaign progress at a seed boundary."""
-
-    options_digest: str
-    #: Seeds ``0 .. offset-1`` of the seed list are fully processed.
-    offset: int
-    seeds: int
-    variants: int
-    dropped: int
-    screened: int
-    skipped: int
-    banked_new: int
-    duplicates: int
-    verdicts: list[SanVerdict] = field(default_factory=list)
-
-
-@dataclass
 class SancheckResult:
     """Outcome of one campaign run."""
 
@@ -181,6 +156,30 @@ class SancheckResult:
     bank_size: int = 0
     #: Seed offset this run resumed from (None = fresh start).
     resumed_at: int | None = None
+    #: Finding keys of the FN/FP verdicts, in judgment order (banked or
+    #: duplicate).  Not part of the scoreboard.
+    keys: list[str] = field(default_factory=list)
+
+    def absorb(self, shard: "SancheckResult") -> None:
+        """Add a shard's walk counters (the merge recounts the banking)."""
+        self.seeds += shard.seeds
+        self.variants += shard.variants
+        self.dropped += shard.dropped
+        self.screened += shard.screened
+        self.skipped += shard.skipped
+        self.verdicts.extend(shard.verdicts)
+        self.keys.extend(shard.keys)
+
+    def count(self, entry: BankedFinding | None) -> None:
+        """Count one banking decision (``None`` is a duplicate)."""
+        if entry is None:
+            self.duplicates += 1
+        else:
+            self.banked_new += 1
+
+    def finish(self, bank: FindingBank | None) -> None:
+        if bank is not None:
+            self.bank_size = len(bank)
 
     # ------------------------------------------------------------ scoreboard
 
@@ -333,9 +332,9 @@ def build_seeds(options: SancheckOptions) -> list[SanSeed]:
     """The deterministic seed list *options* describes: fixtures, then
     corpus bank, then fresh generator seeds.
 
-    Module-level (rather than only a campaign method) so the sharded
-    runtime can size and label the list without spinning up a campaign's
-    engine and oracle.
+    A function of the options alone (it is also
+    :meth:`SancheckCampaign.seeds`), so the sharded runtime can size and
+    label the list without building a campaign's engine and oracle.
     """
     seeds: list[SanSeed] = []
     if options.fixtures:
@@ -351,115 +350,40 @@ def build_seeds(options: SancheckOptions) -> list[SanSeed]:
     return seeds
 
 
-def seed_labels(options: SancheckOptions) -> list[str]:
-    """Labels of the seed list, in offset order (quarantine ledger keys)."""
-    return [seed.label for seed in build_seeds(options)]
-
-
 # --------------------------------------------------------------------------
 # Campaign
 # --------------------------------------------------------------------------
 
 
-class SancheckCampaign:
+class SancheckCampaign(Campaign):
     """Drives seed → relocate → judge → bank for ``repro sancheck``.
 
-    ``seed_slice``/``skip_offsets``/``progress``/``interruptible`` mirror
-    :class:`~repro.generative.campaign.GenerativeCampaign`: a slice is a
-    global ``[start, stop)`` window over the deterministic seed list
-    (the sharded runtime's partitioning hook), skipped offsets are
-    quarantined poison seeds, ``progress`` fires at each seed boundary
-    before the seed runs, and shard workers disable the deferred-SIGINT
-    handler so the supervisor owns interrupts.
+    The seed list is :func:`build_seeds`; the walk, checkpoints and
+    banking are :class:`~repro.campaigns.kernel.Campaign`'s.  ``bank``
+    is optional: without one, findings are judged but not banked.
     """
 
+    kind = "sancheck"
+    checkpoint_file = "sancheck.ckpt"
+    result_type = SancheckResult
+    bank_type = FindingBank
+
     def __init__(
-        self,
-        options: SancheckOptions,
-        bank: FindingBank | None = None,
-        engine: CompDiff | None = None,
-        seed_slice: tuple[int, int] | None = None,
-        skip_offsets: frozenset[int] = frozenset(),
-        progress: Optional[Callable[[int], None]] = None,
-        interruptible: bool = True,
+        self, options: SancheckOptions, bank: FindingBank | None = None, **kwargs
     ) -> None:
-        self.options = options
-        self.bank = bank
-        self.seed_slice = seed_slice
-        self.skip_offsets = frozenset(skip_offsets)
-        self.progress = progress
-        self.interruptible = interruptible
-        self._owns_engine = engine is None
-        if engine is None:
-            engine = CompDiff(workers=options.workers)
-        self.engine = engine
+        super().__init__(options, bank, **kwargs)
         self.oracle = UBOracle(mode="interproc")
-        self.verdicts = VerdictEngine(engine, oracle=self.oracle)
+        self.verdicts = VerdictEngine(self.engine, oracle=self.oracle)
 
-    def __enter__(self) -> "SancheckCampaign":
-        return self
+    seeds = staticmethod(build_seeds)
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._owns_engine:
-            self.engine.close()
-
-    # ------------------------------------------------------------- seed list
-
-    def seeds(self) -> list[SanSeed]:
-        """The campaign's full seed list, deterministic order."""
-        return build_seeds(self.options)
-
-    # --------------------------------------------------------------- campaign
-
-    def run(self) -> SancheckResult:
-        options = self.options
-        result = SancheckResult()
-        seeds = self.seeds()
-        lo, hi = self.seed_slice if self.seed_slice is not None else (0, len(seeds))
-        start = lo
-        checkpoint = self._load_checkpoint()
-        if checkpoint is not None:
-            start = max(lo, checkpoint.offset)
-            result.seeds = checkpoint.seeds
-            result.variants = checkpoint.variants
-            result.dropped = checkpoint.dropped
-            result.screened = checkpoint.screened
-            result.skipped = checkpoint.skipped
-            result.banked_new = checkpoint.banked_new
-            result.duplicates = checkpoint.duplicates
-            result.verdicts = list(checkpoint.verdicts)
-            result.resumed_at = start
-        processed_through = start
-        with DeferredInterrupt(enabled=self.interruptible) as intr:
-            for offset in range(start, hi):
-                if intr.pending:
-                    if options.checkpoint_dir is not None:
-                        self._save_checkpoint(processed_through, result)
-                    raise KeyboardInterrupt(
-                        "campaign interrupted; checkpoint flushed"
-                    )
-                if self.progress is not None:
-                    self.progress(offset)
-                if offset not in self.skip_offsets:
-                    self._process(seeds[offset], result)
-                processed_through = offset + 1
-                if (
-                    options.checkpoint_dir is not None
-                    and (offset + 1 - start) % options.checkpoint_every == 0
-                ):
-                    self._save_checkpoint(processed_through, result)
-        if options.checkpoint_dir is not None:
-            self._save_checkpoint(processed_through, result)
-        if self.bank is not None:
-            result.bank_size = len(self.bank)
-        return result
+    @classmethod
+    def label(cls, options: SancheckOptions, offset: int) -> str:
+        return build_seeds(options)[offset].label
 
     # -------------------------------------------------------------- one seed
 
-    def _process(self, seed: SanSeed, result: SancheckResult) -> None:
+    def process(self, seed: SanSeed, result: SancheckResult) -> None:
         options = self.options
         inputs = list(seed.inputs)
         name = f"sanval-{seed.label}"
@@ -533,8 +457,6 @@ class SancheckCampaign:
     # ---------------------------------------------------------------- banking
 
     def _bank_finding(self, verdict: SanVerdict, result: SancheckResult) -> None:
-        if self.bank is None:
-            return
         kinds = verdict.expected if verdict.outcome == FN else verdict.reported_kinds
         key = finding_key(
             verdict.sanitizer,
@@ -544,9 +466,10 @@ class SancheckCampaign:
             verdict.truth.oracle_fingerprints,
             verdict.truth.partition,
         )
-        if key in self.bank:
-            result.duplicates += 1
-            return
+        self.bank_key(key, lambda: self._finding(verdict, key, kinds), result)
+
+    def _finding(self, verdict: SanVerdict, key: str, kinds: tuple[str, ...]) -> BankedFinding:
+        """The (reduced) bank entry for a not-yet-banked finding."""
         source = verdict.source
         original_nodes = count_nodes(load(source))
         reduced_nodes = original_nodes
@@ -559,7 +482,7 @@ class SancheckCampaign:
                 reduced_nodes = reduction.reduced_nodes
                 steps = len(reduction.steps)
                 tests = reduction.tests_run
-        banked = BankedFinding(
+        return BankedFinding(
             key=key,
             sanitizer=verdict.sanitizer,
             outcome=verdict.outcome,
@@ -578,10 +501,6 @@ class SancheckCampaign:
             reduction_steps=steps,
             reduction_tests=tests,
         )
-        if self.bank.add(banked):
-            result.banked_new += 1
-        else:  # pragma: no cover - key checked above
-            result.duplicates += 1
 
     def _reduce(self, verdict: SanVerdict, source: str):
         sanitizer = next(
@@ -637,42 +556,3 @@ class SancheckCampaign:
                 continue
             return candidate
         return None
-
-    # ---------------------------------------------------------- checkpoints
-
-    def _checkpoint_path(self) -> str:
-        assert self.options.checkpoint_dir is not None
-        return os.path.join(self.options.checkpoint_dir, CHECKPOINT_FILE)
-
-    def _save_checkpoint(self, offset: int, result: SancheckResult) -> None:
-        write_record(
-            self._checkpoint_path(),
-            MAGIC,
-            SancheckCheckpoint(
-                options_digest=self.options.digest(),
-                offset=offset,
-                seeds=result.seeds,
-                variants=result.variants,
-                dropped=result.dropped,
-                screened=result.screened,
-                skipped=result.skipped,
-                banked_new=result.banked_new,
-                duplicates=result.duplicates,
-                verdicts=list(result.verdicts),
-            ),
-        )
-
-    def _load_checkpoint(self) -> SancheckCheckpoint | None:
-        if self.options.checkpoint_dir is None:
-            return None
-        path = self._checkpoint_path()
-        if not os.path.exists(path):
-            return None
-        checkpoint = read_record(path, MAGIC, SancheckCheckpoint)
-        if checkpoint.options_digest != self.options.digest():
-            raise CheckpointError(
-                "sancheck checkpoint was written with different campaign "
-                "options; refusing to resume (move or delete "
-                f"{path!r} to start fresh)"
-            )
-        return checkpoint

@@ -23,8 +23,6 @@ from repro.campaigns.runtime import (
     QUARANTINE_FILE,
     RESULT_FILE,
     CampaignRuntime,
-    GenerativeShardAdapter,
-    SancheckShardAdapter,
     ShardPolicy,
     partition_range,
 )
@@ -89,7 +87,8 @@ def serial(tmp_path_factory):
 
 def _run_sharded(tmp_path, shards=2, policy=FAST, fault_plan=None, options=None):
     runtime = CampaignRuntime(
-        GenerativeShardAdapter(options or _options()),
+        GenerativeCampaign,
+        options or _options(),
         CorpusBank(tmp_path / "merged"),
         root=str(tmp_path / "campaign"),
         shards=shards,
@@ -168,7 +167,8 @@ def test_rerunning_a_finished_campaign_is_idempotent(serial, tmp_path):
     # Every shard already has a valid result record: the rerun must
     # launch nothing and still merge the same corpus into a fresh bank.
     rerun = CampaignRuntime(
-        GenerativeShardAdapter(_options()),
+        GenerativeCampaign,
+        _options(),
         CorpusBank(tmp_path / "merged-again"),
         root=str(tmp_path / "campaign"),
         shards=2,
@@ -263,7 +263,8 @@ def test_dead_supervisor_resumes_and_converges(serial, tmp_path):
     shutil.rmtree(shard_dir / "ckpt")
     shutil.rmtree(shard_dir / "bank")
     resumed = CampaignRuntime(
-        GenerativeShardAdapter(_options()),
+        GenerativeCampaign,
+        _options(),
         CorpusBank(tmp_path / "merged-resumed"),
         root=str(tmp_path / "campaign"),
         shards=2,
@@ -278,7 +279,8 @@ def test_incompatible_shard_plan_is_refused(serial, tmp_path):
     _run_sharded(tmp_path)
     for bad_kwargs in ({"shards": 3}, {"options": _options(profile="plain")}):
         runtime = CampaignRuntime(
-            GenerativeShardAdapter(bad_kwargs.get("options", _options())),
+            GenerativeCampaign,
+            bad_kwargs.get("options", _options()),
             CorpusBank(tmp_path / "merged-bad"),
             root=str(tmp_path / "campaign"),
             shards=bad_kwargs.get("shards", 2),
@@ -301,7 +303,8 @@ def test_sancheck_sharded_matches_serial(tmp_path):
     with SancheckCampaign(_san_options(), bank=FindingBank(tmp_path / "serial")) as c:
         serial_result = c.run()
     runtime = CampaignRuntime(
-        SancheckShardAdapter(_san_options()),
+        SancheckCampaign,
+        _san_options(),
         FindingBank(tmp_path / "merged"),
         root=str(tmp_path / "campaign"),
         shards=2,
@@ -336,11 +339,12 @@ def test_generative_sigint_flushes_at_boundary_and_resumes(tmp_path):
             campaign.run()
     # The signal landed at offset 1's boundary but was deferred: seed 1
     # completed and the flushed checkpoint records it.
-    from repro.generative.campaign import CHECKPOINT_FILE, MAGIC, GenerativeCheckpoint
-    from repro.persist import read_record
+    from repro.campaigns.kernel import read_state
 
-    flushed = read_record(
-        str(tmp_path / "ckpt" / CHECKPOINT_FILE), MAGIC, GenerativeCheckpoint
+    flushed = read_state(
+        str(tmp_path / "ckpt" / GenerativeCampaign.checkpoint_file),
+        GenerativeCampaign.kind,
+        options.digest(),
     )
     assert flushed.offset == 2
     with GenerativeCampaign(options, bank) as campaign:
@@ -363,11 +367,12 @@ def test_sancheck_sigint_flushes_at_boundary_and_resumes(tmp_path):
     with SancheckCampaign(options, bank=bank, progress=fire_sigint) as campaign:
         with pytest.raises(KeyboardInterrupt, match="checkpoint flushed"):
             campaign.run()
-    from repro.persist import read_record
-    from repro.sanval.campaign import CHECKPOINT_FILE, MAGIC, SancheckCheckpoint
+    from repro.campaigns.kernel import read_state
 
-    flushed = read_record(
-        str(tmp_path / "ckpt" / CHECKPOINT_FILE), MAGIC, SancheckCheckpoint
+    flushed = read_state(
+        str(tmp_path / "ckpt" / SancheckCampaign.checkpoint_file),
+        SancheckCampaign.kind,
+        options.digest(),
     )
     assert flushed.offset == 2
     with SancheckCampaign(options, bank=bank) as campaign:

@@ -8,8 +8,9 @@ per-campaign banks.  Its contracts, pinned here:
   wrong-schema sidecar refuses the open (docs/ROBUSTNESS.md idiom);
 * content addressing — programs key by ``program_fingerprint`` and the
   first write wins;
-* ``register_class`` — the cross-shard dedupe primitive: exactly one
-  claim per (kind, key) succeeds;
+* ``register_class`` — the cross-campaign dedupe primitive: exactly one
+  claim per (kind, key) succeeds, and ``claim`` registers one banked
+  entry through it;
 * the bank bridge — a bank imported into the DB exports back
   byte-identically, and :func:`verify_bank_against_db` refuses a bank
   whose manifest references classes the DB has never seen.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compdiff import CompDiff
 from repro.db import (
     CLASS_GENERATIVE,
     CLASS_SANCHECK,
@@ -123,18 +123,6 @@ class TestContentAddressing:
             assert db.add_program(SRC_A, name="second") == fp
             assert db.stats()["programs"] == 1
 
-    def test_verdict_roundtrip(self, tmp_path):
-        (diff,) = CompDiff().check_source(SRC_A, [b"\x02"]).diffs
-        with CorpusDB(tmp_path / "c.db") as db:
-            fp = db.add_program(SRC_A)
-            db.record_verdict(fp, diff)
-            (stored,) = db.verdicts_for(fp)
-        assert stored["input"] == b"\x02"
-        assert stored["divergent"] == diff.divergent
-        assert stored["checksums"] == {
-            name: checksum for name, checksum in diff.checksums.items()
-        }
-
     def test_diagnostics_roundtrip(self, tmp_path):
         with CorpusDB(tmp_path / "c.db") as db:
             fp = db.add_program(SRC_A)
@@ -170,8 +158,8 @@ class TestBankBridge:
         original = make_repro()
         assert bank.add(original)
         with CorpusDB(tmp_path / "c.db") as db:
-            assert db.import_corpus_bank(bank) == 1
-            assert db.import_corpus_bank(bank) == 0  # idempotent
+            assert db.import_bank(CLASS_GENERATIVE, bank) == 1
+            assert db.import_bank(CLASS_GENERATIVE, bank) == 0  # idempotent
             out = CorpusBank(tmp_path / "bankB")
             assert db.export_corpus_bank(out) == 1
         (restored,) = list(CorpusBank(tmp_path / "bankB"))
@@ -182,7 +170,7 @@ class TestBankBridge:
         original = make_finding()
         assert bank.add(original)
         with CorpusDB(tmp_path / "c.db") as db:
-            assert db.import_finding_bank(bank) == 1
+            assert db.import_bank(CLASS_SANCHECK, bank) == 1
             out = FindingBank(tmp_path / "bankB")
             assert db.export_finding_bank(out) == 1
         (restored,) = list(FindingBank(tmp_path / "bankB"))
@@ -194,23 +182,21 @@ class TestBankBridge:
         with CorpusDB(tmp_path / "c.db") as db:
             with pytest.raises(ReproError, match="does not contain"):
                 verify_bank_against_db(tmp_path / "bank", "auto", db)
-            db.import_corpus_bank(bank)
+            db.import_bank(CLASS_GENERATIVE, bank)
             assert verify_bank_against_db(tmp_path / "bank", "auto", db) == 1
             # A missing manifest is an empty bank, not an error.
             assert verify_bank_against_db(tmp_path / "nosuch", "auto", db) == 0
 
 
 class TestMergeDedupe:
-    """The campaign-merge claim helpers behind ``--shards ... --db``."""
+    """The claim behind the banking step of ``--db`` runs and merges."""
 
     def test_generative_claim_then_skip(self, tmp_path):
-        from repro.campaigns.runtime import _db_claim_generative
-
         repro = make_repro()
         with CorpusDB(tmp_path / "c.db") as db:
-            assert _db_claim_generative(db, repro)
+            assert db.claim(CLASS_GENERATIVE, repro)
             # Another campaign (or shard merge) loses the claim race.
-            assert not _db_claim_generative(db, repro)
+            assert not db.claim(CLASS_GENERATIVE, repro)
             fp = program_fingerprint(repro.source)
             assert db.has_program(fp)
             assert db.diagnostics_for(fp) == [("uninit-read", "deadbeef01")]
@@ -218,10 +204,8 @@ class TestMergeDedupe:
             assert record["_source"] == repro.source
 
     def test_sancheck_claim_then_skip(self, tmp_path):
-        from repro.campaigns.runtime import _db_claim_sancheck
-
         finding = make_finding()
         with CorpusDB(tmp_path / "c.db") as db:
-            assert _db_claim_sancheck(db, finding)
-            assert not _db_claim_sancheck(db, finding)
+            assert db.claim(CLASS_SANCHECK, finding)
+            assert not db.claim(CLASS_SANCHECK, finding)
             assert db.class_keys(CLASS_SANCHECK) == {finding.key}

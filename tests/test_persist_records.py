@@ -1,153 +1,167 @@
-"""Durable-record corruption tests for every campaign checkpoint format.
+"""Durable-record corruption tests for the campaign state record.
 
 ``tests/test_checkpoint.py`` pins these properties for the fuzzer's
 ``RPRCKPT1`` records; this module pins the same contract for the
-formats added since — the generative campaign checkpoint
-(``RPRGENC1``), the sancheck campaign checkpoint (``RPRSANC1``), and
-the shard result record (``RPRSHRD1``): any truncated, short, empty,
-wrong-magic, or bit-flipped record raises
-:class:`~repro.errors.CheckpointError` instead of deserializing
-garbage, and the atomic-write helpers leave no temp droppings.
+campaign kernel's state record (:mod:`repro.campaigns.kernel`), as
+written by both campaign kinds as checkpoints and by shard workers as
+completed-block results: any truncated, short, empty, wrong-magic, or
+bit-flipped record raises :class:`~repro.errors.CheckpointError`
+instead of deserializing garbage, a record of the other campaign kind
+is refused, and the atomic-write helpers leave no temp droppings.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import shutil
 
 import pytest
 
-from repro.campaigns.runtime import SHARD_MAGIC, ShardRecord
+from repro.campaigns.kernel import STATE_MAGIC, CampaignState, read_state
 from repro.errors import CheckpointError
-from repro.generative.campaign import MAGIC as GEN_MAGIC
-from repro.generative.campaign import GenerativeCheckpoint, GenerativeResult
+from repro.generative.bank import CorpusBank
+from repro.generative.campaign import (
+    GenerativeCampaign,
+    GenerativeOptions,
+    GenerativeResult,
+)
 from repro.persist import (
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
-    read_record,
     write_record,
 )
-from repro.sanval.campaign import MAGIC as SAN_MAGIC
-from repro.sanval.campaign import SancheckCheckpoint
+from repro.sanval.campaign import SancheckCampaign, SancheckOptions, SancheckResult
 
 pytestmark = pytest.mark.faults
 
 
-def _gen_checkpoint() -> GenerativeCheckpoint:
-    return GenerativeCheckpoint(
+def _gen_checkpoint() -> CampaignState:
+    return CampaignState(
+        kind=GenerativeCampaign.kind,
         options_digest="d" * 16,
+        start=0,
         offset=3,
-        generated=3,
-        divergent=1,
-        banked_new=1,
-        duplicates=0,
-        drifted=0,
-        keys=["abcd" * 4],
+        result=GenerativeResult(
+            generated=3, divergent=1, banked_new=1, keys=["abcd" * 4]
+        ),
     )
 
 
-def _san_checkpoint() -> SancheckCheckpoint:
-    return SancheckCheckpoint(
+def _san_checkpoint() -> CampaignState:
+    return CampaignState(
+        kind=SancheckCampaign.kind,
         options_digest="e" * 16,
+        start=0,
         offset=2,
-        seeds=2,
-        variants=4,
-        dropped=0,
-        screened=1,
-        skipped=0,
-        banked_new=1,
-        duplicates=1,
-        verdicts=[],
+        result=SancheckResult(
+            seeds=2, variants=4, screened=1, banked_new=1, duplicates=1
+        ),
     )
 
 
-def _shard_record() -> ShardRecord:
-    return ShardRecord(
+def _shard_record() -> CampaignState:
+    # A shard's result.rec: the state of a walk that finished its block.
+    return CampaignState(
+        kind=GenerativeCampaign.kind,
         options_digest="f" * 16,
-        lo=0,
-        hi=2,
+        start=2,
+        offset=4,
         result=GenerativeResult(generated=2, divergent=1, banked_new=1),
     )
 
 
 FORMATS = [
-    pytest.param(GEN_MAGIC, _gen_checkpoint, GenerativeCheckpoint, id="generative"),
-    pytest.param(SAN_MAGIC, _san_checkpoint, SancheckCheckpoint, id="sancheck"),
-    pytest.param(SHARD_MAGIC, _shard_record, ShardRecord, id="shard"),
+    pytest.param(_gen_checkpoint, id="generative"),
+    pytest.param(_san_checkpoint, id="sancheck"),
+    pytest.param(_shard_record, id="shard"),
 ]
 
 
-@pytest.mark.parametrize("magic,make,cls", FORMATS)
-def test_round_trip(tmp_path, magic, make, cls):
+def _read(path, state: CampaignState) -> CampaignState:
+    """Load *path* the way the walk and the shard merge do."""
+    return read_state(str(path), state.kind, state.options_digest)
+
+
+@pytest.mark.parametrize("make", FORMATS)
+def test_round_trip(tmp_path, make):
     path = str(tmp_path / "state.rec")
     original = make()
-    write_record(path, magic, original)
-    assert read_record(path, magic, cls) == original
+    write_record(path, STATE_MAGIC, original)
+    assert _read(path, original) == original
 
 
-@pytest.mark.parametrize("magic,make,cls", FORMATS)
-def test_empty_record_is_rejected(tmp_path, magic, make, cls):
+@pytest.mark.parametrize("make", FORMATS)
+def test_empty_record_is_rejected(tmp_path, make):
     path = tmp_path / "state.rec"
     path.write_bytes(b"")
     with pytest.raises(CheckpointError):
-        read_record(str(path), magic, cls)
+        _read(path, make())
 
 
-@pytest.mark.parametrize("magic,make,cls", FORMATS)
-def test_short_record_is_rejected(tmp_path, magic, make, cls):
+@pytest.mark.parametrize("make", FORMATS)
+def test_short_record_is_rejected(tmp_path, make):
     # Shorter than magic + CRC: no payload to even checksum.
     path = tmp_path / "state.rec"
-    path.write_bytes(magic[:5])
+    path.write_bytes(STATE_MAGIC[:5])
     with pytest.raises(CheckpointError):
-        read_record(str(path), magic, cls)
+        _read(path, make())
 
 
-@pytest.mark.parametrize("magic,make,cls", FORMATS)
-def test_truncated_record_is_rejected(tmp_path, magic, make, cls):
+@pytest.mark.parametrize("make", FORMATS)
+def test_truncated_record_is_rejected(tmp_path, make):
     path = str(tmp_path / "state.rec")
-    write_record(path, magic, make())
+    write_record(path, STATE_MAGIC, make())
     blob = open(path, "rb").read()
     for cut in (len(blob) // 2, len(blob) - 1):
         open(path, "wb").write(blob[:cut])
         with pytest.raises(CheckpointError):
-            read_record(path, magic, cls)
+            _read(path, make())
 
 
-@pytest.mark.parametrize("magic,make,cls", FORMATS)
-def test_wrong_magic_is_rejected(tmp_path, magic, make, cls):
+@pytest.mark.parametrize("make", FORMATS)
+def test_wrong_magic_is_rejected(tmp_path, make):
+    # Also how a checkpoint in an older per-campaign format is refused.
     path = str(tmp_path / "state.rec")
-    write_record(path, magic, make())
-    with pytest.raises(CheckpointError):
-        read_record(path, b"RPRWRNG1", make().__class__)
+    write_record(path, b"RPRWRNG1", make())
+    with pytest.raises(CheckpointError, match="move or delete"):
+        _read(path, make())
 
 
-def test_campaign_magics_are_mutually_incompatible(tmp_path):
-    # A generative checkpoint must not read back as a sancheck one even
-    # if the caller passes the matching type.
+def test_generative_state_is_refused_by_a_sancheck_campaign(tmp_path):
+    # One magic serves both kinds, so the kind field is what keeps a
+    # generative checkpoint from resuming a sancheck campaign.
+    ckpt = tmp_path / "ckpt"
+    options = GenerativeOptions(budget=0, checkpoint_dir=str(ckpt))
+    with GenerativeCampaign(options, CorpusBank(tmp_path / "bank")) as campaign:
+        campaign.run()
+    shutil.copy(
+        ckpt / GenerativeCampaign.checkpoint_file,
+        ckpt / SancheckCampaign.checkpoint_file,
+    )
+    san_options = SancheckOptions(checkpoint_dir=str(ckpt))
+    with SancheckCampaign(san_options) as campaign:
+        with pytest.raises(CheckpointError, match="generative campaign state"):
+            campaign.run()
+
+
+@pytest.mark.parametrize("make", FORMATS)
+def test_bit_flip_fails_integrity_check(tmp_path, make):
     path = str(tmp_path / "state.rec")
-    write_record(path, GEN_MAGIC, _gen_checkpoint())
-    with pytest.raises(CheckpointError):
-        read_record(path, SAN_MAGIC, GenerativeCheckpoint)
-
-
-@pytest.mark.parametrize("magic,make,cls", FORMATS)
-def test_bit_flip_fails_integrity_check(tmp_path, magic, make, cls):
-    path = str(tmp_path / "state.rec")
-    write_record(path, magic, make())
+    write_record(path, STATE_MAGIC, make())
     blob = bytearray(open(path, "rb").read())
-    blob[len(magic) + 6] ^= 0x40
+    blob[len(STATE_MAGIC) + 6] ^= 0x40
     open(path, "wb").write(bytes(blob))
     with pytest.raises(CheckpointError):
-        read_record(path, magic, cls)
+        _read(path, make())
 
 
-@pytest.mark.parametrize("magic,make,cls", FORMATS)
-def test_foreign_payload_type_is_rejected(tmp_path, magic, make, cls):
+@pytest.mark.parametrize("make", FORMATS)
+def test_foreign_payload_type_is_rejected(tmp_path, make):
     path = str(tmp_path / "state.rec")
-    write_record(path, magic, {"not": "a checkpoint"})
+    write_record(path, STATE_MAGIC, {"not": "a checkpoint"})
     with pytest.raises(CheckpointError):
-        read_record(path, magic, cls)
+        _read(path, make())
 
 
 def test_atomic_writers_leave_no_temp_files(tmp_path):

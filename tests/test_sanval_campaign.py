@@ -110,7 +110,7 @@ class TestCheckpointing:
             pass
 
         with SancheckCampaign(options) as campaign:
-            original = campaign._process
+            original = campaign.process
             calls = 0
 
             def explode(seed, result):
@@ -120,7 +120,7 @@ class TestCheckpointing:
                     raise Boom()
                 return original(seed, result)
 
-            campaign._process = explode
+            campaign.process = explode
             with pytest.raises(Boom):
                 campaign.run()
 
