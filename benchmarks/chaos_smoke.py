@@ -38,8 +38,8 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.campaigns.runtime import CampaignRuntime, ShardPolicy
-from repro.db import CLASS_GENERATIVE, CorpusDB
-from repro.generative.bank import CorpusBank
+from repro.db import CorpusDB
+from repro.generative.bank import BankedRepro, CorpusBank
 from repro.generative.campaign import GenerativeCampaign, GenerativeOptions
 from repro.parallel.faults import ShardFaultPlan
 from repro.sanval.bank import FindingBank
@@ -123,10 +123,10 @@ def main() -> int:
             == (serial.generated, serial.banked_new, serial.keys),
         )
         ok &= check("no seeds quarantined by transient faults", not runtime.quarantine)
-        serial_classes = serial_db.class_keys(CLASS_GENERATIVE)
+        serial_classes = serial_db.class_keys(BankedRepro.KIND)
         ok &= check(
             "--db: serial and crash+hang+corrupt runs claimed the same classes",
-            serial_classes == faulted_db.class_keys(CLASS_GENERATIVE)
+            serial_classes == faulted_db.class_keys(BankedRepro.KIND)
             == set(CorpusBank(serial_dir).keys()),
             f"{len(serial_classes)} classes",
         )

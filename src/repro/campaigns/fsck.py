@@ -1,7 +1,6 @@
 """Corpus salvage: quarantine the broken parts of a bank, keep the rest.
 
-Bank loading (:class:`~repro.generative.bank.CorpusBank`,
-:class:`~repro.sanval.bank.FindingBank`) is deliberately strict — a
+Bank loading (:class:`repro.bank.Bank`) is deliberately strict — a
 corrupt manifest or a missing program file raises
 :class:`~repro.errors.ReproError` rather than silently dropping
 evidence.  ``repro bank fsck`` is the other half of that contract: it
@@ -10,21 +9,25 @@ walks a damaged bank, moves everything unsalvageable into a
 manifest over the surviving entries, and leaves a bank that loads
 cleanly again.
 
-What gets quarantined, per entry:
+The bank format comes from the entry type's declarations
+(:mod:`repro.bank`): the entry list, the version, the program files per
+entry and the key recomputation.  What gets quarantined, per entry:
 
 * manifest entries that do not parse back into a banked record;
-* entries whose program file (or ``.good.c`` twin, for generative
-  banks) is missing or unreadable;
+* entries with a program file (any of the entry type's ``PROGRAMS``)
+  missing or unreadable;
 * entries whose recorded dedupe key does not match the key recomputed
   from their own metadata (a tampered or bit-rotten record);
 * duplicate keys (first occurrence wins, later ones quarantined);
+* every entry of a manifest with the wrong version;
 * program files no surviving entry references (orphans).
 
-A manifest that does not parse at all (or has the wrong version) is
-quarantined wholesale and **no new manifest is written**: both bank
-classes treat a missing manifest as an empty bank, so the directory
-still loads — with its programs preserved under ``corrupt/`` for
-manual recovery.
+A manifest that does not parse, is not a JSON object, holds no entry
+list of a known kind (a ``null`` list included), or holds another kind
+than the one asked for, is quarantined wholesale and **no new manifest
+is written**: a bank without a manifest loads as an empty bank, so the
+directory still loads — with its programs preserved under ``corrupt/``
+for manual recovery.
 
 Sidecar layout (``<root>/corrupt/``)::
 
@@ -41,6 +44,7 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.bank import MANIFEST, PROGRAMS_DIR, RECORD_ERRORS, Bank, bank_type, read_manifest
 from repro.errors import ReproError
 from repro.persist import atomic_write_json, fsync_directory
 
@@ -49,11 +53,6 @@ CORRUPT_DIR = "corrupt"
 LEDGER_FILE = "ledger.json"
 #: Sidecar ledger format version.
 LEDGER_VERSION = 1
-
-#: Detectable bank kinds.
-GENERATIVE = "generative"
-SANCHECK = "sancheck"
-BANK_KINDS = (GENERATIVE, SANCHECK)
 
 
 @dataclass
@@ -153,14 +152,6 @@ def _append_ledger(root: Path, findings: list[FsckFinding]) -> None:
     atomic_write_json(path, {"version": LEDGER_VERSION, "entries": entries})
 
 
-def _detect_kind(data: dict) -> str | None:
-    if "repros" in data:
-        return GENERATIVE
-    if "findings" in data:
-        return SANCHECK
-    return None
-
-
 # --------------------------------------------------------------------------
 # Salvage
 # --------------------------------------------------------------------------
@@ -169,58 +160,36 @@ def _detect_kind(data: dict) -> str | None:
 def fsck_bank(root: str | os.PathLike, kind: str = "auto") -> FsckReport:
     """Salvage the bank at *root*; returns what was kept vs quarantined.
 
-    *kind* is ``"auto"`` (detect from the manifest), ``"generative"``,
-    or ``"sancheck"`` — the override matters only when the manifest is
-    too far gone to detect from.  Raises :class:`ReproError` for a
-    directory that is not a bank at all (no manifest and no programs).
+    *kind* is ``"auto"`` (detect from the manifest) or a bank kind
+    (:func:`repro.bank.bank_type`); the override matters only when the
+    manifest is too far gone to detect from.  Raises
+    :class:`ReproError` for a directory that is not a bank at all (no
+    manifest and no programs).
     """
-    if kind != "auto" and kind not in BANK_KINDS:
-        raise ReproError(f"unknown bank kind {kind!r}; expected one of {BANK_KINDS}")
+    if kind != "auto":
+        bank_type(kind)  # refuses an unknown kind
     root_path = Path(root)
-    manifest_path = root_path / "manifest.json"
-    programs_dir = root_path / "programs"
+    manifest_path = root_path / MANIFEST
+    programs_dir = root_path / PROGRAMS_DIR
     if not manifest_path.exists() and not programs_dir.is_dir():
         raise ReproError(f"{root_path} is not a corpus bank (no manifest, no programs)")
 
     report = FsckReport(root=str(root_path), kind=kind)
-    data: dict | None = None
+    found = None
     if manifest_path.exists():
         try:
-            parsed = json.loads(manifest_path.read_text())
-            if not isinstance(parsed, dict):
-                raise ValueError(f"manifest root is {type(parsed).__name__}, not object")
-            data = parsed
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+            found = read_manifest(root_path, kind)
+        except ReproError as exc:
             moved = _sidecar_move(root_path, manifest_path)
             report.manifest_quarantined = True
-            report.quarantined.append(
-                FsckFinding(key=None, reason=f"manifest unreadable: {exc}", files=[moved])
-            )
-
-    detected = _detect_kind(data) if data is not None else None
-    if kind == "auto":
-        kind = detected or kind
-    report.kind = kind
-    if data is not None and (detected is None or (kind != "auto" and detected != kind)):
-        moved = _sidecar_move(root_path, manifest_path)
-        report.manifest_quarantined = True
-        report.quarantined.append(
-            FsckFinding(
-                key=None,
-                reason=(
-                    "manifest is not a recognizable bank manifest"
-                    if detected is None
-                    else f"manifest holds a {detected} bank, not {kind}"
-                ),
-                files=[moved],
-            )
-        )
-        data = None
+            report.quarantined.append(FsckFinding(key=None, reason=str(exc), files=[moved]))
 
     kept_records: list[dict] = []
     referenced: set[str] = set()
-    if data is not None:
-        kept_records, referenced = _validate_entries(root_path, data, kind, report)
+    if found is not None:
+        bank, data = found
+        report.kind = bank.entry_type.KIND
+        kept_records, referenced = _validate_entries(root_path, bank, data, report)
 
     # Orphan scan: any program file no surviving entry references.
     if programs_dir.is_dir():
@@ -238,27 +207,21 @@ def fsck_bank(root: str | os.PathLike, kind: str = "auto") -> FsckReport:
                 )
             )
 
-    if data is not None:
-        _rewrite_manifest(manifest_path, kind, kept_records)
+    if found is not None:
+        bank.write_manifest(root_path, kept_records)
     if report.quarantined:
         _append_ledger(root_path, report.quarantined)
     return report
 
 
 def _validate_entries(
-    root: Path, data: dict, kind: str, report: FsckReport
+    root: Path, bank: type[Bank], data: dict, report: FsckReport
 ) -> tuple[list[dict], set[str]]:
     """Validate each manifest entry; quarantine failures via *report*."""
-    from repro.generative.bank import BANK_SCHEMA_VERSION, BankedRepro, corpus_key
-    from repro.sanval.bank import SANVAL_BANK_VERSION, BankedFinding, finding_key
-
-    programs = root / "programs"
-    if kind == GENERATIVE:
-        records, version = data.get("repros", []), BANK_SCHEMA_VERSION
-    else:
-        records, version = data.get("findings", []), SANVAL_BANK_VERSION
+    declared = bank.entry_type
+    records = data[declared.LIST_NAME]
     report.total_entries = len(records)
-    if data.get("version") != version:
+    if data.get("version") != declared.VERSION:
         for record in records:
             key = record.get("key") if isinstance(record, dict) else None
             report.quarantined.append(
@@ -266,9 +229,9 @@ def _validate_entries(
                     key=key,
                     reason=(
                         f"manifest version {data.get('version')!r} is not "
-                        f"{version}; entry cannot be trusted"
+                        f"{declared.VERSION}; entry cannot be trusted"
                     ),
-                    files=_quarantine_programs(root, key, kind),
+                    files=_quarantine_programs(root, key, bank),
                 )
             )
         return [], set()
@@ -292,87 +255,35 @@ def _validate_entries(
                 )
             )
             continue
-        source_path = programs / f"{key}.c"
-        good_path = programs / f"{key}.good.c"
         try:
-            source = source_path.read_text()
-            if kind == GENERATIVE:
-                good = good_path.read_text()
-                banked = BankedRepro.from_json(record, source, good)
-                expected = corpus_key(
-                    set(banked.checkers), banked.culprit_original, banked.partition
-                )
-            else:
-                banked = BankedFinding.from_json(record, source)
-                expected = finding_key(
-                    banked.sanitizer,
-                    banked.outcome,
-                    banked.kinds,
-                    banked.checkers,
-                    banked.oracle_fingerprints,
-                    banked.partition,
-                )
-        except OSError as exc:
+            expected = bank.read_entry(root, record).recompute_key()
+        except ReproError as exc:
+            reason = str(exc)
+        except RECORD_ERRORS as exc:
+            reason = f"metadata does not recompute a key: {exc!r}"
+        else:
+            reason = None
+            if expected != key:
+                reason = f"recorded key does not match metadata (recomputed {expected})"
+        if reason is not None:
             report.quarantined.append(
-                FsckFinding(
-                    key=key,
-                    reason=f"program file missing or unreadable: {exc}",
-                    files=_quarantine_programs(root, key, kind),
-                )
-            )
-            continue
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            report.quarantined.append(
-                FsckFinding(
-                    key=key,
-                    reason=f"manifest entry does not parse: {exc!r}",
-                    files=_quarantine_programs(root, key, kind),
-                )
-            )
-            continue
-        if expected != key:
-            report.quarantined.append(
-                FsckFinding(
-                    key=key,
-                    reason=(
-                        f"recorded key does not match metadata "
-                        f"(recomputed {expected})"
-                    ),
-                    files=_quarantine_programs(root, key, kind),
-                )
+                FsckFinding(key=key, reason=reason, files=_quarantine_programs(root, key, bank))
             )
             continue
         seen.add(key)
         kept.append(record)
-        referenced.add(f"{key}.c")
-        if kind == GENERATIVE:
-            referenced.add(f"{key}.good.c")
+        referenced.update(bank.program_files(key).values())
     report.kept = len(kept)
     return kept, referenced
 
 
-def _quarantine_programs(root: Path, key: str | None, kind: str) -> list[str]:
+def _quarantine_programs(root: Path, key: str | None, bank: type[Bank]) -> list[str]:
     """Move a quarantined entry's program files into the sidecar."""
     if key is None:
         return []
     moved = []
-    names = [f"{key}.c"]
-    if kind == GENERATIVE:
-        names.append(f"{key}.good.c")
-    for name in names:
-        path = root / "programs" / name
+    for name in bank.program_files(key).values():
+        path = root / PROGRAMS_DIR / name
         if path.exists():
             moved.append(_sidecar_move(root, path))
     return moved
-
-
-def _rewrite_manifest(manifest_path: Path, kind: str, records: list[dict]) -> None:
-    from repro.generative.bank import BANK_SCHEMA_VERSION
-    from repro.sanval.bank import SANVAL_BANK_VERSION
-
-    ordered = sorted(records, key=lambda record: record["key"])
-    if kind == GENERATIVE:
-        payload = {"version": BANK_SCHEMA_VERSION, "repros": ordered}
-    else:
-        payload = {"version": SANVAL_BANK_VERSION, "findings": ordered}
-    atomic_write_json(manifest_path, payload)

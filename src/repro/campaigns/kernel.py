@@ -67,7 +67,7 @@ def read_state(path: str, kind: str, digest: str) -> CampaignState:
     )
 
 
-def bank_step(bank, key: str, make_entry, db=None, kind: str = ""):
+def bank_step(bank, key: str, make_entry, db=None):
     """Bank *key*'s class unless it is held; return the new entry or None.
 
     A key already in *bank* is a duplicate, and so is a key whose claim
@@ -79,11 +79,11 @@ def bank_step(bank, key: str, make_entry, db=None, kind: str = ""):
     """
     if key in bank:
         if db is not None:
-            db.claim(kind, bank.get(key))
+            db.claim(bank.get(key))
             db.commit()
         return None
     entry = make_entry()
-    if db is not None and not db.claim(kind, entry):
+    if db is not None and not db.claim(entry):
         return None
     bank.add(entry)
     if db is not None:
@@ -112,7 +112,7 @@ class Campaign:
     :class:`~repro.db.CorpusDB` consulted by every banking decision.
     """
 
-    #: State-record and DB class kind.
+    #: State-record kind: the bank entry type's ``KIND``.
     kind: str
     #: Checkpoint file name inside ``options.checkpoint_dir``.
     checkpoint_file: str
@@ -217,7 +217,7 @@ class Campaign:
         """Append *key* to the key stream and run it through :func:`bank_step`."""
         result.keys.append(key)
         if self.bank is not None:
-            result.count(bank_step(self.bank, key, make_entry, self.db, self.kind))
+            result.count(bank_step(self.bank, key, make_entry, self.db))
 
     # ---------------------------------------------------------- checkpoints
 

@@ -619,7 +619,6 @@ class CampaignRuntime:
                     key,
                     lambda: next(shard.get(key) for shard in banks if key in shard),
                     self.db,
-                    self.campaign.kind,
                 )
                 merged.count(entry)
         merged.finish(self.bank)

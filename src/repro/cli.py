@@ -13,7 +13,7 @@ Commands:
 * ``precision``      — per-checker TP/FP/FN scoreboard vs the oracle;
 * ``bisect FILE``    — attribute a divergence to one pass application;
 * ``bank fsck DIR``  — salvage a corrupted corpus bank;
-* ``db stats DB``    — table counts of the shared corpus database;
+* ``db stats DB``    — class counts of the shared corpus database;
 * ``db import``      — fold a bank into the corpus database;
 * ``db export``      — reconstitute a bank from the corpus database;
 * ``impls``          — list the compiler implementations;
@@ -26,6 +26,7 @@ import argparse
 import binascii
 import sys
 
+from repro.bank import bank_type, bank_types, open_bank
 from repro.compiler import (
     DEFAULT_IMPLEMENTATIONS,
     compile_source,
@@ -404,7 +405,7 @@ def cmd_bank_fsck(args: argparse.Namespace) -> int:
             from repro.db import CorpusDB, verify_bank_against_db
 
             with CorpusDB(args.db) as db:
-                verify_bank_against_db(args.dir, args.kind, db)
+                verify_bank_against_db(args.dir, db)
     except ReproError as exc:
         print(f"bank fsck: {exc}", file=sys.stderr)
         return 2
@@ -415,29 +416,10 @@ def cmd_bank_fsck(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _detect_bank_kind(root: str) -> str:
-    """Resolve ``--kind auto`` from a bank manifest's top-level shape."""
-    import json as _json
-    import pathlib
-
-    from repro.db import CLASS_GENERATIVE, CLASS_SANCHECK
-
-    manifest = pathlib.Path(root) / "manifest.json"
-    try:
-        data = _json.loads(manifest.read_text())
-    except (OSError, _json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot detect bank kind from {manifest}: {exc}") from exc
-    if "repros" in data:
-        return CLASS_GENERATIVE
-    if "findings" in data:
-        return CLASS_SANCHECK
-    raise ReproError(f"{manifest} is not a recognizable bank manifest")
-
-
 def cmd_db(args: argparse.Namespace) -> int:
     """`repro db`: maintain the shared fingerprint-keyed corpus database.
 
-    ``stats`` prints per-table counts; ``import`` folds a bank directory
+    ``stats`` prints the class counts; ``import`` folds a bank directory
     into the DB (first writer per equivalence class wins); ``export``
     reconstitutes a bank directory from the classes the DB holds.  The
     DB refuses to open when its ``.meta`` identity sidecar is missing,
@@ -445,7 +427,7 @@ def cmd_db(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.db import CLASS_GENERATIVE, CorpusDB
+    from repro.db import CorpusDB
 
     try:
         with CorpusDB(args.db) as db:
@@ -455,26 +437,14 @@ def cmd_db(args: argparse.Namespace) -> int:
                 else:
                     print(db.render_stats())
                 return 0
-            kind = args.kind
-            if kind == "auto":
-                kind = _detect_bank_kind(args.dir)
             if args.db_command == "import":
-                if kind == CLASS_GENERATIVE:
-                    from repro.generative import CorpusBank as bank_type
-                else:
-                    from repro.sanval import FindingBank as bank_type
-                count = db.import_bank(kind, bank_type(args.dir))
-                print(f"imported {count} new {kind} class(es) from {args.dir}")
+                bank = open_bank(args.dir, args.kind)
+                count = db.import_bank(bank)
+                print(f"imported {count} new {bank.entry_type.KIND} class(es) from {args.dir}")
             else:
-                if kind == CLASS_GENERATIVE:
-                    from repro.generative import CorpusBank
-
-                    count = db.export_corpus_bank(CorpusBank(args.dir))
-                else:
-                    from repro.sanval import FindingBank
-
-                    count = db.export_finding_bank(FindingBank(args.dir))
-                print(f"exported {count} new {kind} class(es) into {args.dir}")
+                bank = bank_type(args.kind)(args.dir)
+                count = db.export_bank(bank)
+                print(f"exported {count} new {bank.entry_type.KIND} class(es) into {args.dir}")
             return 0
     except ReproError as exc:
         print(f"db {args.db_command}: {exc}", file=sys.stderr)
@@ -1033,14 +1003,14 @@ def build_parser() -> argparse.ArgumentParser:
     ir.add_argument("--impl", default="gcc-O2", choices=implementation_names())
     ir.set_defaults(func=cmd_ir)
 
+    kinds = tuple(declared.entry_type.KIND for declared in bank_types())
     bank = sub.add_parser("bank", help="corpus bank maintenance")
     bank_sub = bank.add_subparsers(dest="bank_command", required=True)
     fsck = bank_sub.add_parser(
         "fsck", help="salvage a corrupted bank into a corrupt/ sidecar"
     )
     fsck.add_argument("dir", help="bank directory to salvage")
-    fsck.add_argument("--kind", default="auto",
-                      choices=("auto", "generative", "sancheck"),
+    fsck.add_argument("--kind", default="auto", choices=("auto", *kinds),
                       help="bank kind when the manifest is too damaged "
                            "to detect it from")
     fsck.add_argument("--json", action="store_true",
@@ -1062,8 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     db_import.add_argument("db", help="corpus database file (created if absent)")
     db_import.add_argument("dir", help="bank directory to import")
-    db_import.add_argument("--kind", default="auto",
-                           choices=("auto", "generative", "sancheck"),
+    db_import.add_argument("--kind", default="auto", choices=("auto", *kinds),
                            help="bank kind (default: detect from the manifest)")
     db_import.set_defaults(func=cmd_db)
     db_export = db_sub.add_parser(
@@ -1071,8 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     db_export.add_argument("db", help="corpus database file")
     db_export.add_argument("dir", help="bank directory to write into")
-    db_export.add_argument("--kind", required=True,
-                           choices=("generative", "sancheck"),
+    db_export.add_argument("--kind", required=True, choices=kinds,
                            help="which class kind to export")
     db_export.set_defaults(func=cmd_db)
 

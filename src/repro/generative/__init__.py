@@ -10,8 +10,8 @@ live:
   program generator emitting well-typed, checker-clean, fuel-bounded
   programs, with profiles biasing toward UB-adjacent shapes;
 * :mod:`repro.generative.reducer` — an AST-level delta-debugging
-  reducer with pluggable interestingness predicates ("still diverges",
-  "same culprit pass", "same diagnostic fingerprint");
+  reducer with a pluggable interestingness predicate ("still
+  diverges", optionally with the same implementation partition);
 * :mod:`repro.generative.bank` — the versioned on-disk repro corpus,
   deduped by diagnostic fingerprint + culprit pass, consumable by the
   precision scoreboard (``repro precision --corpus``);
@@ -28,14 +28,7 @@ from repro.generative.generator import (
     GeneratorProfile,
     generate_program,
 )
-from repro.generative.reducer import (
-    AllOf,
-    ReductionResult,
-    Reducer,
-    SameCulprit,
-    SameFingerprint,
-    StillDiverges,
-)
+from repro.generative.reducer import ReductionResult, Reducer, StillDiverges
 from repro.generative.bank import BankedRepro, CorpusBank
 from repro.generative.campaign import (
     GenerativeCampaign,
@@ -51,9 +44,6 @@ __all__ = [
     "Reducer",
     "ReductionResult",
     "StillDiverges",
-    "SameCulprit",
-    "SameFingerprint",
-    "AllOf",
     "CorpusBank",
     "BankedRepro",
     "GenerativeCampaign",

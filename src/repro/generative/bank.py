@@ -5,11 +5,10 @@ of minimal, still-divergent programs it discovered, banked on disk so
 later runs extend it and the precision scoreboard can score the oracle
 against found-in-the-wild instabilities, not just planted Juliet flaws.
 
-On-disk layout (``<root>/``)::
-
-    manifest.json        # BANK_SCHEMA_VERSION + one record per repro
-    programs/<key>.c     # reduced divergent program
-    programs/<key>.good.c  # its stabilized, non-divergent twin
+The layout, loading and writing are :mod:`repro.bank`'s; this module
+declares the generative entry, :class:`BankedRepro`.  Each banked repro
+is a manifest record plus two program files: the reduced divergent
+program and its stabilized, non-divergent twin.
 
 Dedupe is by **equivalence class**, not source text: the corpus key
 hashes the fired checker set, the culprit pass (``"baseline"`` when the
@@ -18,30 +17,15 @@ partition.  Two seeds that reduce to the same *kind* of instability —
 same diagnostics, same attribution, same implementations disagreeing —
 bank once.  Exact diagnostic fingerprints stay in the metadata for
 drill-down.
-
-Manifest and program writes are atomic *and durable* (tmp + fsync +
-``os.replace`` + directory fsync via :mod:`repro.persist`), so a
-campaign killed mid-bank leaves the previous corpus intact; program
-files are written before the manifest references them.  A bank that was
-corrupted anyway (bit rot, a partial copy) is salvaged by
-``repro bank fsck`` (:mod:`repro.campaigns.fsck`) rather than repaired
-here: loading stays strict so corruption is never silently absorbed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from repro.errors import ReproError
+from repro.bank import Bank
 from repro.juliet.generator import TestCase
-from repro.persist import atomic_write_json, atomic_write_text
-
-#: Manifest format version; bump on incompatible layout changes.
-BANK_SCHEMA_VERSION = 1
 
 #: Bisect attribution recorded when divergence predates the pass
 #: schedule (front-end/layout difference, ``repro bisect`` status
@@ -89,6 +73,13 @@ def corpus_key(
 @dataclass
 class BankedRepro:
     """One banked equivalence class: sources, attribution, provenance."""
+
+    #: Bank format declaration (:mod:`repro.bank`); bump ``VERSION`` on
+    #: incompatible layout changes.
+    KIND = "generative"
+    LIST_NAME = "repros"
+    VERSION = 1
+    PROGRAMS = {"source": ".c", "good_source": ".good.c"}
 
     key: str
     #: Generator provenance (seed regenerates the unreduced original).
@@ -171,6 +162,9 @@ class BankedRepro:
             reduction_tests=data["reduction_tests"],
         )
 
+    def recompute_key(self) -> str:
+        return corpus_key(set(self.checkers), self.culprit_original, self.partition)
+
     def test_case(self) -> TestCase:
         """This repro as a precision-scoreboard case.
 
@@ -190,112 +184,16 @@ class BankedRepro:
         )
 
 
-class CorpusBank:
-    """A corpus directory: load, dedupe, append, persist.
+class CorpusBank(Bank):
+    """A generative corpus directory of :class:`BankedRepro` entries."""
 
-    The bank is append-only from the campaign's point of view; ``add``
-    returns False (and stores nothing) for a key that is already banked,
-    which is what makes checkpoint-resumed and fault-injected campaigns
-    converge on the same corpus instead of double-banking.
-    """
+    entry_type = BankedRepro
 
-    MANIFEST = "manifest.json"
-    PROGRAMS_DIR = "programs"
-
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-        self._repros: dict[str, BankedRepro] = {}
-        if self.manifest_path.exists():
-            self._load()
-
-    # --------------------------------------------------------------- queries
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
-
-    @property
-    def programs_dir(self) -> Path:
-        return self.root / self.PROGRAMS_DIR
-
-    def __len__(self) -> int:
-        return len(self._repros)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._repros
-
-    def __iter__(self):
-        return iter(self.repros())
-
-    def repros(self) -> list[BankedRepro]:
-        """All banked repros, in key order (stable across runs)."""
-        return [self._repros[key] for key in sorted(self._repros)]
-
-    def keys(self) -> list[str]:
-        return sorted(self._repros)
-
-    def get(self, key: str) -> BankedRepro | None:
-        return self._repros.get(key)
+    def add(self, repro: BankedRepro) -> bool:
+        # Defined here as well as on Bank: perfbench's tracer wraps the
+        # bank layer at ``CorpusBank.add`` in this class's own namespace.
+        return super().add(repro)
 
     def test_cases(self) -> list[TestCase]:
         """The whole corpus as precision-scoreboard cases, key order."""
-        return [repro.test_case() for repro in self.repros()]
-
-    # ------------------------------------------------------------ mutation
-
-    def add(self, repro: BankedRepro) -> bool:
-        """Bank *repro* unless its class is already present.
-
-        Program files land before the manifest references them, and the
-        manifest write is atomic — a kill mid-add leaves a corpus that
-        loads cleanly (at worst with orphaned program files).
-        """
-        if repro.key in self._repros:
-            return False
-        self.programs_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self._source_path(repro.key), repro.source)
-        atomic_write_text(self._good_path(repro.key), repro.good_source)
-        self._repros[repro.key] = repro
-        self._write_manifest()
-        return True
-
-    # ------------------------------------------------------------ internals
-
-    def _source_path(self, key: str) -> Path:
-        return self.programs_dir / f"{key}.c"
-
-    def _good_path(self, key: str) -> Path:
-        return self.programs_dir / f"{key}.good.c"
-
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": BANK_SCHEMA_VERSION,
-            "repros": [self._repros[key].to_json() for key in sorted(self._repros)],
-        }
-        atomic_write_json(self.manifest_path, payload)
-
-    def _load(self) -> None:
-        try:
-            data = json.loads(self.manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(
-                f"corpus manifest {self.manifest_path} is unreadable: {exc} "
-                f"(salvage with `repro bank fsck {self.root}`)"
-            ) from exc
-        if data.get("version") != BANK_SCHEMA_VERSION:
-            raise ReproError(
-                f"corpus manifest version {data.get('version')!r}; "
-                f"expected {BANK_SCHEMA_VERSION}"
-            )
-        for record in data["repros"]:
-            key = record["key"]
-            try:
-                source = self._source_path(key).read_text()
-                good = self._good_path(key).read_text()
-            except OSError as exc:
-                raise ReproError(
-                    f"corpus program for banked repro {key} is missing: {exc} "
-                    f"(salvage with `repro bank fsck {self.root}`)"
-                ) from exc
-            self._repros[key] = BankedRepro.from_json(record, source, good)
+        return [repro.test_case() for repro in self]

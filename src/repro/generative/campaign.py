@@ -164,7 +164,7 @@ class GenerativeCampaign(Campaign):
     campaign builds when no ``engine`` is passed.
     """
 
-    kind = "generative"
+    kind = BankedRepro.KIND
     checkpoint_file = "generate.ckpt"
     result_type = GenerativeResult
     bank_type = CorpusBank

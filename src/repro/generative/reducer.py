@@ -25,11 +25,9 @@ candidate is only ever adopted after the predicate confirmed it — and
 the trace of accepted snapshots is kept on the result so tests can
 re-verify every step (``tests/test_generative_reducer.py``).
 
-Predicates are pluggable callables over source text.  Three ship here,
-matching the ISSUE's menu: :class:`StillDiverges` (CompDiff verdict),
-:class:`SameCulprit` (``repro bisect`` attribution), and
-:class:`SameFingerprint` (UB-oracle diagnostic fingerprints); compose
-them with :class:`AllOf`.
+Predicates are pluggable callables over source text.  One ships here:
+:class:`StillDiverges` (the CompDiff verdict, optionally pinned to the
+divergence signature).
 """
 
 from __future__ import annotations
@@ -97,94 +95,6 @@ class StillDiverges:
             if diff.divergent and self._signature_of(diff) == self.signature:
                 return True
         return False
-
-
-class SameCulprit:
-    """Interesting iff ``repro bisect`` attributes the divergence to the
-    same pass (by name) between the pinned implementation pair.
-
-    The pair is pinned from the *original* diff rather than re-chosen
-    per candidate: re-picking would let reduction drift onto a different
-    implementation pair, at which point "same culprit" is vacuous (see
-    docs/GENERATIVE.md on attribution drift).
-    """
-
-    def __init__(
-        self,
-        input_bytes: bytes,
-        impl_ref: str,
-        impl_target: str,
-        pass_name: str,
-        name: str = "reduce",
-    ) -> None:
-        self.input_bytes = input_bytes
-        self.impl_ref = impl_ref
-        self.impl_target = impl_target
-        self.pass_name = pass_name
-        self.name = name
-
-    def __call__(self, source: str) -> bool:
-        from repro.core.bisect import bisect_divergence
-
-        try:
-            result = bisect_divergence(
-                source,
-                self.input_bytes,
-                impl_ref=self.impl_ref,
-                impl_target=self.impl_target,
-                name=self.name,
-            )
-        except ReproError:
-            return False
-        return (
-            result.attributed
-            and result.culprit is not None
-            and result.culprit.pass_name == self.pass_name
-        )
-
-
-class SameFingerprint:
-    """Interesting iff the UB oracle still reports the pinned diagnostic
-    fingerprints.
-
-    ``mode="any"`` keeps at least one of the pinned fingerprints alive
-    (the campaign default — a reduction is allowed to shed secondary
-    findings); ``mode="all"`` requires every pinned fingerprint to
-    survive.
-    """
-
-    def __init__(self, fingerprints: set[str], mode: str = "any", oracle=None) -> None:
-        if mode not in ("any", "all"):
-            raise ValueError(f"mode must be 'any' or 'all', got {mode!r}")
-        if oracle is None:
-            from repro.static_analysis import UBOracle
-
-            oracle = UBOracle(mode="interproc")
-        self.fingerprints = set(fingerprints)
-        self.mode = mode
-        self.oracle = oracle
-
-    def __call__(self, source: str) -> bool:
-        from repro.static_analysis.diagnostics import to_diagnostics
-
-        try:
-            report = self.oracle.report(load(source))
-        except ReproError:
-            return False
-        seen = {d.fingerprint for d in to_diagnostics(report.findings)}
-        if self.mode == "all":
-            return self.fingerprints <= seen
-        return bool(self.fingerprints & seen)
-
-
-class AllOf:
-    """Conjunction of predicates, evaluated left to right."""
-
-    def __init__(self, *predicates: Callable[[str], bool]) -> None:
-        self.predicates = predicates
-
-    def __call__(self, source: str) -> bool:
-        return all(predicate(source) for predicate in self.predicates)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Finding bank for confirmed sanitizer FNs/FPs: reduced, deduped, on disk.
 
-Mirrors the generative :class:`~repro.generative.bank.CorpusBank` layout
-so tooling can treat both the same way::
-
-    manifest.json        # SANVAL_BANK_VERSION + one record per finding
-    programs/<key>.c     # reduced program that exhibits the FN/FP
+The layout, loading and writing are :mod:`repro.bank`'s, shared with
+the generative corpus bank; this module declares the sanval entry,
+:class:`BankedFinding`.  Each banked finding is a manifest record plus
+one program file: the reduced program that exhibits the FN/FP.
 
 Dedupe is by *evidence class*, not source text: the key hashes the
 sanitizer, the outcome, the report kinds involved, the oracle checkers
@@ -13,27 +12,14 @@ miss rediscovered through a different relocation of the same seed (same
 function, same oracle fingerprint) banks once; a miss that moved into a
 different function (distinct fingerprint) is new evidence and banks
 separately.
-
-Manifest and program writes are atomic and durable (tmp + fsync +
-``os.replace`` + directory fsync via :mod:`repro.persist`) and program
-files land before the manifest references them, so a campaign killed
-mid-bank leaves a loadable bank behind.  Banks corrupted anyway are
-salvaged by ``repro bank fsck`` (:mod:`repro.campaigns.fsck`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.errors import ReproError
-from repro.persist import atomic_write_json, atomic_write_text
-
-#: Manifest format version; bump on incompatible layout changes.
-SANVAL_BANK_VERSION = 1
+from repro.bank import Bank
 
 
 def finding_key(
@@ -62,6 +48,13 @@ def finding_key(
 @dataclass
 class BankedFinding:
     """One banked sanitizer defect: evidence chain + reduced repro."""
+
+    #: Bank format declaration (:mod:`repro.bank`); bump ``VERSION`` on
+    #: incompatible layout changes.
+    KIND = "sancheck"
+    LIST_NAME = "findings"
+    VERSION = 1
+    PROGRAMS = {"source": ".c"}
 
     key: str
     sanitizer: str
@@ -129,93 +122,23 @@ class BankedFinding:
             reduction_tests=data["reduction_tests"],
         )
 
+    def recompute_key(self) -> str:
+        return finding_key(
+            self.sanitizer,
+            self.outcome,
+            self.kinds,
+            self.checkers,
+            self.oracle_fingerprints,
+            self.partition,
+        )
 
-class FindingBank:
-    """A sanval bank directory: load, dedupe, append, persist."""
 
-    MANIFEST = "manifest.json"
-    PROGRAMS_DIR = "programs"
+class FindingBank(Bank):
+    """A sanval bank directory of :class:`BankedFinding` entries."""
 
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-        self._findings: dict[str, BankedFinding] = {}
-        if self.manifest_path.exists():
-            self._load()
-
-    # --------------------------------------------------------------- queries
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
-
-    @property
-    def programs_dir(self) -> Path:
-        return self.root / self.PROGRAMS_DIR
-
-    def __len__(self) -> int:
-        return len(self._findings)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._findings
-
-    def __iter__(self):
-        return iter(self.findings())
-
-    def findings(self) -> list[BankedFinding]:
-        """All banked findings, in key order (stable across runs)."""
-        return [self._findings[key] for key in sorted(self._findings)]
-
-    def keys(self) -> list[str]:
-        return sorted(self._findings)
-
-    def get(self, key: str) -> BankedFinding | None:
-        return self._findings.get(key)
-
-    # ------------------------------------------------------------ mutation
+    entry_type = BankedFinding
 
     def add(self, finding: BankedFinding) -> bool:
-        """Bank *finding* unless its evidence class is already present."""
-        if finding.key in self._findings:
-            return False
-        self.programs_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self._source_path(finding.key), finding.source)
-        self._findings[finding.key] = finding
-        self._write_manifest()
-        return True
-
-    # ------------------------------------------------------------ internals
-
-    def _source_path(self, key: str) -> Path:
-        return self.programs_dir / f"{key}.c"
-
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": SANVAL_BANK_VERSION,
-            "findings": [self._findings[key].to_json() for key in sorted(self._findings)],
-        }
-        atomic_write_json(self.manifest_path, payload)
-
-    def _load(self) -> None:
-        try:
-            data = json.loads(self.manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(
-                f"sanval manifest {self.manifest_path} is unreadable: {exc} "
-                f"(salvage with `repro bank fsck {self.root}`)"
-            ) from exc
-        if data.get("version") != SANVAL_BANK_VERSION:
-            raise ReproError(
-                f"sanval manifest version {data.get('version')!r}; "
-                f"expected {SANVAL_BANK_VERSION}"
-            )
-        for record in data["findings"]:
-            key = record["key"]
-            try:
-                source = self._source_path(key).read_text()
-            except OSError as exc:
-                raise ReproError(
-                    f"sanval program for banked finding {key} is missing: {exc} "
-                    f"(salvage with `repro bank fsck {self.root}`)"
-                ) from exc
-            self._findings[key] = BankedFinding.from_json(record, source)
+        # Defined here as well as on Bank: perfbench's tracer wraps the
+        # findings layer at ``FindingBank.add`` in this class's own namespace.
+        return super().add(finding)

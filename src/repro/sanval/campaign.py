@@ -38,6 +38,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.bank import MANIFEST
 from repro.campaigns.kernel import Campaign
 from repro.errors import ReproError
 from repro.generative.generator import generate_program
@@ -270,7 +271,7 @@ def fixture_seeds(fixtures_dir: str | os.PathLike) -> list[SanSeed]:
     """
     root = Path(fixtures_dir)
     try:
-        manifest = json.loads((root / "manifest.json").read_text())
+        manifest = json.loads((root / MANIFEST).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ReproError(f"sanval fixtures at {root} are unreadable: {exc}") from exc
     if manifest.get("version") != FIXTURES_VERSION:
@@ -363,7 +364,7 @@ class SancheckCampaign(Campaign):
     is optional: without one, findings are judged but not banked.
     """
 
-    kind = "sancheck"
+    kind = BankedFinding.KIND
     checkpoint_file = "sancheck.ckpt"
     result_type = SancheckResult
     bank_type = FindingBank

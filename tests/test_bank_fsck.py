@@ -176,6 +176,27 @@ def test_unparseable_manifest_is_quarantined_wholesale(gen_bank):
     assert (gen_bank / CORRUPT_DIR / "manifest.json").exists()
 
 
+def _list_root(data: dict):
+    return [data]
+
+
+def _null_entries(data: dict) -> dict:
+    data["repros"] = None
+    return data
+
+
+def _missing_field(data: dict) -> dict:
+    del data["repros"][1]["seed"]
+    return data
+
+
+@pytest.mark.parametrize("damage", [_list_root, _null_entries, _missing_field])
+def test_malformed_manifest_fails_strict_loading_with_fsck_hint(gen_bank, damage):
+    _write_manifest(gen_bank, damage(_manifest(gen_bank)))
+    with pytest.raises(ReproError, match="repro bank fsck"):
+        CorpusBank(gen_bank)
+
+
 def test_version_mismatch_distrusts_every_entry(gen_bank):
     data = _manifest(gen_bank)
     data["version"] = 99
@@ -234,6 +255,16 @@ class TestCLI:
         document = json.loads(capsys.readouterr().out)
         assert document["kept"] == 2
         assert document["quarantined"][0]["key"] == victim
+
+    @pytest.mark.parametrize("entries", [None, 7])
+    def test_non_list_entries_quarantine_the_manifest(self, gen_bank, capsys, entries):
+        data = _manifest(gen_bank)
+        data["repros"] = entries
+        _write_manifest(gen_bank, data)
+        assert cli_main(["bank", "fsck", str(gen_bank)]) == 1
+        assert "not a recognizable bank manifest" in capsys.readouterr().out
+        assert (gen_bank / CORRUPT_DIR / "manifest.json").exists()
+        assert len(CorpusBank(gen_bank)) == 0
 
     def test_not_a_bank_exits_two(self, tmp_path, capsys):
         assert cli_main(["bank", "fsck", str(tmp_path / "void")]) == 2

@@ -16,9 +16,9 @@ import sqlite3
 import pytest
 
 from repro.campaigns.runtime import CampaignRuntime, ShardPolicy
-from repro.db import CLASS_GENERATIVE, CorpusDB, verify_bank_against_db
+from repro.db import CorpusDB, verify_bank_against_db
 from repro.errors import EngineConfigError, ReproError
-from repro.generative.bank import CorpusBank
+from repro.generative.bank import BankedRepro, CorpusBank
 from repro.generative.campaign import GenerativeCampaign, GenerativeOptions
 
 pytestmark = pytest.mark.faults
@@ -96,7 +96,7 @@ def test_serial_and_sharded_runs_consult_the_db_alike(first_class, tmp_path):
     dbs = []
     for name in ("serial.db", "sharded.db"):
         with CorpusDB(tmp_path / name) as db:
-            assert db.claim(CLASS_GENERATIVE, first_class)
+            assert db.claim(first_class)
         dbs.append(CorpusDB(tmp_path / name))
     with GenerativeCampaign(_options(), CorpusBank(tmp_path / "serial"), db=dbs[0]) as campaign:
         serial = campaign.run()
@@ -105,7 +105,7 @@ def test_serial_and_sharded_runs_consult_the_db_alike(first_class, tmp_path):
     assert (serial.banked_new, serial.duplicates) == (sharded.banked_new, sharded.duplicates)
     assert first_class.key not in CorpusBank(tmp_path / "serial")
     assert serial.duplicates >= 1
-    assert dbs[0].class_keys(CLASS_GENERATIVE) == dbs[1].class_keys(CLASS_GENERATIVE)
+    assert dbs[0].class_keys(BankedRepro.KIND) == dbs[1].class_keys(BankedRepro.KIND)
     for db in dbs:
         db.close()
 
@@ -130,7 +130,7 @@ def test_rerun_repairs_a_kill_between_bank_write_and_commit(
     db._conn.rollback()  # the process died: its uncommitted claim is gone
     assert len(CorpusBank(bank_dir)) == 1
     with pytest.raises(ReproError, match="does not contain"):
-        verify_bank_against_db(bank_dir, CLASS_GENERATIVE, db)
+        verify_bank_against_db(bank_dir, db)
     run()  # for the sharded run, a merge-only pass over finished shards
-    assert verify_bank_against_db(bank_dir, CLASS_GENERATIVE, db) == len(CorpusBank(bank_dir))
+    assert verify_bank_against_db(bank_dir, db) == len(CorpusBank(bank_dir))
     db.close()

@@ -3,14 +3,12 @@
 :class:`repro.db.CorpusDB` is the cross-campaign substrate under the
 per-campaign banks.  Its contracts, pinned here:
 
-* identity — a ``.meta`` magic+CRC sidecar is written on first commit
-  and verified on every later open; a missing, corrupt, or
+* identity — a ``.meta`` magic+CRC sidecar is written when the file is
+  created and verified on every later open; a missing, corrupt, or
   wrong-schema sidecar refuses the open (docs/ROBUSTNESS.md idiom);
-* content addressing — programs key by ``program_fingerprint`` and the
-  first write wins;
 * ``register_class`` — the cross-campaign dedupe primitive: exactly one
   claim per (kind, key) succeeds, and ``claim`` registers one banked
-  entry through it;
+  entry through it, sources and diagnostic fingerprints in its record;
 * the bank bridge — a bank imported into the DB exports back
   byte-identically, and :func:`verify_bank_against_db` refuses a bank
   whose manifest references classes the DB has never seen.
@@ -21,8 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.db import (
-    CLASS_GENERATIVE,
-    CLASS_SANCHECK,
     DB_MAGIC,
     DB_SCHEMA_VERSION,
     CorpusDB,
@@ -79,15 +75,24 @@ def make_finding(key: str = "feed0001", source: str = SRC_B) -> BankedFinding:
 class TestIdentitySidecar:
     def test_sidecar_written_on_close(self, tmp_path):
         db = CorpusDB(tmp_path / "corpus.db")
-        db.add_program(SRC_A)
+        db.claim(make_repro())
         db.close()
         assert (tmp_path / "corpus.db.meta").exists()
         with open_db(tmp_path / "corpus.db") as reopened:
-            assert reopened.stats()["programs"] == 1
+            assert reopened.stats()["classes"]["total"] == 1
+
+    def test_fresh_db_opens_again_before_its_first_commit(self, tmp_path):
+        # A second campaign sharing a fresh --db, or a rerun after a kill
+        # before the first banked class, opens it before any commit.
+        first = CorpusDB(tmp_path / "corpus.db")
+        assert (tmp_path / "corpus.db.meta").exists()
+        with CorpusDB(tmp_path / "corpus.db") as second:
+            assert second.claim(make_repro())
+        first.close()
 
     def test_missing_sidecar_refused(self, tmp_path):
         with CorpusDB(tmp_path / "corpus.db") as db:
-            db.add_program(SRC_A)
+            db.claim(make_repro())
         (tmp_path / "corpus.db.meta").unlink()
         with pytest.raises(ReproError, match="no .meta sidecar"):
             CorpusDB(tmp_path / "corpus.db")
@@ -112,39 +117,16 @@ class TestIdentitySidecar:
             CorpusDB(tmp_path / "corpus.db")
 
 
-class TestContentAddressing:
-    def test_program_fingerprint_roundtrip(self, tmp_path):
-        with CorpusDB(tmp_path / "c.db") as db:
-            fp = db.add_program(SRC_A, name="first")
-            assert fp == program_fingerprint(SRC_A)
-            assert db.has_program(fp)
-            assert db.get_source(fp) == SRC_A
-            # First write wins: re-adding under a new name is a no-op.
-            assert db.add_program(SRC_A, name="second") == fp
-            assert db.stats()["programs"] == 1
-
-    def test_diagnostics_roundtrip(self, tmp_path):
-        with CorpusDB(tmp_path / "c.db") as db:
-            fp = db.add_program(SRC_A)
-            db.add_diagnostic(fp, "uninit-read", "aa01")
-            db.add_diagnostic(fp, "oob-write", "bb02")
-            db.add_diagnostic(fp, "uninit-read", "aa01")  # idempotent
-            assert db.diagnostics_for(fp) == [
-                ("uninit-read", "aa01"),
-                ("oob-write", "bb02"),
-            ]
-
-
 class TestRegisterClass:
     def test_first_claim_wins(self, tmp_path):
         with CorpusDB(tmp_path / "c.db") as db:
-            fp = db.add_program(SRC_A)
-            assert db.register_class(CLASS_GENERATIVE, "k1", fp, {"key": "k1"})
-            assert not db.register_class(CLASS_GENERATIVE, "k1", fp, {"key": "k1"})
+            fp = program_fingerprint(SRC_A)
+            assert db.register_class(BankedRepro.KIND, "k1", fp, {"key": "k1"})
+            assert not db.register_class(BankedRepro.KIND, "k1", fp, {"key": "k1"})
             # Kinds are separate namespaces.
-            assert db.register_class(CLASS_SANCHECK, "k1", fp, {"key": "k1"})
-            assert db.class_keys(CLASS_GENERATIVE) == {"k1"}
-            assert db.class_record(CLASS_GENERATIVE, "k1") == {"key": "k1"}
+            assert db.register_class(BankedFinding.KIND, "k1", fp, {"key": "k1"})
+            assert db.class_keys(BankedRepro.KIND) == {"k1"}
+            assert db.class_record(BankedRepro.KIND, "k1") == {"key": "k1"}
 
     def test_unknown_kind_rejected(self, tmp_path):
         with CorpusDB(tmp_path / "c.db") as db:
@@ -158,10 +140,10 @@ class TestBankBridge:
         original = make_repro()
         assert bank.add(original)
         with CorpusDB(tmp_path / "c.db") as db:
-            assert db.import_bank(CLASS_GENERATIVE, bank) == 1
-            assert db.import_bank(CLASS_GENERATIVE, bank) == 0  # idempotent
+            assert db.import_bank(bank) == 1
+            assert db.import_bank(bank) == 0  # idempotent
             out = CorpusBank(tmp_path / "bankB")
-            assert db.export_corpus_bank(out) == 1
+            assert db.export_bank(out) == 1
         (restored,) = list(CorpusBank(tmp_path / "bankB"))
         assert restored == original
 
@@ -170,9 +152,9 @@ class TestBankBridge:
         original = make_finding()
         assert bank.add(original)
         with CorpusDB(tmp_path / "c.db") as db:
-            assert db.import_bank(CLASS_SANCHECK, bank) == 1
+            assert db.import_bank(bank) == 1
             out = FindingBank(tmp_path / "bankB")
-            assert db.export_finding_bank(out) == 1
+            assert db.export_bank(out) == 1
         (restored,) = list(FindingBank(tmp_path / "bankB"))
         assert restored == original
 
@@ -181,11 +163,11 @@ class TestBankBridge:
         bank.add(make_repro())
         with CorpusDB(tmp_path / "c.db") as db:
             with pytest.raises(ReproError, match="does not contain"):
-                verify_bank_against_db(tmp_path / "bank", "auto", db)
-            db.import_bank(CLASS_GENERATIVE, bank)
-            assert verify_bank_against_db(tmp_path / "bank", "auto", db) == 1
+                verify_bank_against_db(tmp_path / "bank", db)
+            db.import_bank(bank)
+            assert verify_bank_against_db(tmp_path / "bank", db) == 1
             # A missing manifest is an empty bank, not an error.
-            assert verify_bank_against_db(tmp_path / "nosuch", "auto", db) == 0
+            assert verify_bank_against_db(tmp_path / "nosuch", db) == 0
 
 
 class TestMergeDedupe:
@@ -194,18 +176,19 @@ class TestMergeDedupe:
     def test_generative_claim_then_skip(self, tmp_path):
         repro = make_repro()
         with CorpusDB(tmp_path / "c.db") as db:
-            assert db.claim(CLASS_GENERATIVE, repro)
+            assert db.claim(repro)
             # Another campaign (or shard merge) loses the claim race.
-            assert not db.claim(CLASS_GENERATIVE, repro)
-            fp = program_fingerprint(repro.source)
-            assert db.has_program(fp)
-            assert db.diagnostics_for(fp) == [("uninit-read", "deadbeef01")]
-            record = db.class_record(CLASS_GENERATIVE, repro.key)
+            assert not db.claim(repro)
+            record = db.class_record(BankedRepro.KIND, repro.key)
+            assert (record["checkers"], record["fingerprints"]) == (
+                ["uninit-read"],
+                ["deadbeef01"],
+            )
             assert record["_source"] == repro.source
 
     def test_sancheck_claim_then_skip(self, tmp_path):
         finding = make_finding()
         with CorpusDB(tmp_path / "c.db") as db:
-            assert db.claim(CLASS_SANCHECK, finding)
-            assert not db.claim(CLASS_SANCHECK, finding)
-            assert db.class_keys(CLASS_SANCHECK) == {finding.key}
+            assert db.claim(finding)
+            assert not db.claim(finding)
+            assert db.class_keys(BankedFinding.KIND) == {finding.key}

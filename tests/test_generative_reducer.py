@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.compdiff import CompDiff
 from repro.errors import ReproError
-from repro.generative import Reducer, SameFingerprint, StillDiverges
+from repro.generative import Reducer, StillDiverges
 from repro.generative.reducer import single_step_variants
 from repro.minic import count_nodes, load
 
@@ -107,7 +107,3 @@ def test_single_step_variants_are_valid_programs():
             break
     assert count >= 10, "fixture must admit a rich candidate set"
 
-
-def test_same_fingerprint_mode_validated():
-    with pytest.raises(ValueError):
-        SameFingerprint(set(), mode="most")
