@@ -399,7 +399,7 @@ class CampaignRuntime:
         self.quarantine.append(entry)
         self._skip.add(offset)
         self._save_quarantine()
-        self.stats.record_seed_quarantine()
+        self.stats.seeds_quarantined += 1
 
     # ------------------------------------------------------------- shard io
 
@@ -557,7 +557,7 @@ class CampaignRuntime:
                     blamed, f"{reason}; seed blamed on {self._attempts[blamed]} attempts"
                 )
         restarts[index] = restarts.get(index, 0) + 1
-        self.stats.record_shard_restart()
+        self.stats.shard_restarts += 1
         if restarts[index] > self.policy.max_shard_restarts:
             self._adopt(index)
         else:
@@ -572,7 +572,7 @@ class CampaignRuntime:
         The shard's checkpoint resumes it at its last completed seed
         boundary, so adoption pays only for the unfinished tail.
         """
-        self.stats.record_shard_adoption()
+        self.stats.shard_adoptions += 1
         lo, hi = self._ranges[index]
         _shard_worker(
             self.campaign,

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.compiler import DEFAULT_IMPLEMENTATIONS, CompilerConfig, compile_program
+from repro.compiler import DEFAULT_IMPLEMENTATIONS, CompilerConfig
 from repro.core.hashing import observation_checksum
 from repro.core.normalize import OutputNormalizer
 from repro.errors import EngineConfigError, ReproError
 from repro.minic import ast as minic_ast
 from repro.minic import load
-from repro.parallel.cache import CompileCache
+from repro.parallel.cache import CompileCache, compile_counted
 from repro.parallel.engine import BatchJob, ParallelEngine, ProgramPayload, ServerGroup
 from repro.parallel.faults import FaultPlan
 from repro.parallel.stats import EngineStats
@@ -186,16 +186,18 @@ class CompDiff:
 
         An implementation that fails to compile the program is dropped
         from this program's cross-check (k-1 graceful degradation,
-        recorded in stats and flagged on every resulting DiffResult)
-        rather than aborting — unless fewer than two implementations
-        survive, which is a hard error.
+        flagged and counted on every resulting DiffResult) rather than
+        aborting — unless fewer than two implementations survive, which
+        is a hard error.
         """
         servers: dict[str, ForkServer] = {}
         errors: dict[str, str] = {}
         first_error: ReproError | None = None
         for config in self.implementations:
             try:
-                binary = self._compile(program, config, name=name)
+                binary = compile_counted(
+                    program, config, self.stats, cache=self.compile_cache, name=name
+                )
             except ReproError as exc:
                 errors[config.name] = str(exc)
                 if first_error is None:
@@ -211,33 +213,12 @@ class CompDiff:
                 f"fewer than two implementations can build {name or 'program'!r}: "
                 f"{errors}"
             )
-        for impl_name in errors:
-            self.stats.record_degraded(impl_name)
         if self._engine is not None:
             return ServerGroup(servers, ProgramPayload.from_program(program, name=name))
         return ServerGroup(servers, executor=LockstepExecutor(servers))
 
     def build_source(self, source: str, name: str = "") -> dict[str, ForkServer]:
         return self.build(load(source), name=name)
-
-    def _compile(self, program: minic_ast.Program, config: CompilerConfig, name: str = ""):
-        if self.compile_cache is None:
-            binary = compile_program(program, config, name=name)
-            self.stats.record_pass_report(binary.pass_report)
-            return binary
-        cache_stats = self.compile_cache.stats
-        hits0, misses0 = cache_stats.hits, cache_stats.misses
-        evictions0 = cache_stats.evictions
-        binary = self.compile_cache.compile(program, config, name=name)
-        # Attribute the (possibly shared) cache's activity to this engine.
-        self.stats.record_cache(
-            cache_stats.hits - hits0,
-            cache_stats.misses - misses0,
-            cache_stats.evictions - evictions0,
-        )
-        if cache_stats.misses > misses0:  # fresh compile, not a replayed artifact
-            self.stats.record_pass_report(binary.pass_report)
-        return binary
 
     # --------------------------------------------------------------- running
 
@@ -255,15 +236,15 @@ class CompDiff:
         def degrade(name: str, exc: ReproError) -> ExecutionResult:
             # Internal VM failure on this implementation only: degrade
             # the cross-check rather than killing the campaign.
-            self.stats.record_degraded(name)
             return deadline_result(name, f"execution failed: {exc}")
 
         results = executor.run_input(input_bytes, on_error=degrade)
+        exec_counts = self.stats.exec_counts
         for name, result in results.items():
             if not result.deadline_expired:
-                self.stats.record_exec(name)
+                exec_counts[name] += 1
         self._retry_partial_timeouts(servers, input_bytes, results)
-        self.stats.record_input()
+        self.stats.inputs_checked += 1
         return self._diff_from_results(input_bytes, results)
 
     def _diff_from_results(
@@ -281,7 +262,8 @@ class CompDiff:
         entirely (build failure) or present as a ``Status.DEADLINE``
         placeholder (hung or quarantined) — are excluded from the checksums
         and listed in ``DiffResult.dropped``, so the verdict is a flagged
-        k-1 cross-check.
+        k-1 cross-check.  Each dropped (input, implementation) cell counts
+        once in ``EngineStats.degraded``, here and nowhere else.
         """
         observations: dict[str, tuple] = {}
         checksums: dict[str, int] = {}
@@ -298,6 +280,8 @@ class CompDiff:
         for config in self.implementations:
             if config.name not in results:
                 dropped.append(config.name)
+        for name in dropped:
+            self.stats.degraded[name] += 1
         order = {config.name: i for i, config in enumerate(self.implementations)}
         return DiffResult(
             input=input_bytes,
@@ -332,8 +316,8 @@ class CompDiff:
             fuel *= TIMEOUT_RETRY_FACTOR
             for name in timed_out:
                 results[name] = servers[name].run(input_bytes, fuel=fuel)
-                self.stats.record_exec(name)
-                self.stats.record_retry()
+                self.stats.exec_counts[name] += 1
+                self.stats.timeout_retries += 1
 
     @staticmethod
     def _checksum(observation: tuple) -> int:

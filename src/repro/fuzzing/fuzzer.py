@@ -350,7 +350,7 @@ class CompDiffFuzzer:
         )
         save_checkpoint(directory, state)
         if self.compdiff is not None:
-            self.compdiff.stats.record_checkpoint(time.perf_counter() - started)
+            self.compdiff.stats.checkpoint_latencies.append(time.perf_counter() - started)
 
     def _restore(self, directory: str) -> CampaignResult:
         """Rehydrate the loop state journaled in *directory*."""

@@ -30,6 +30,7 @@ from repro.compiler.implementations import CompilerConfig
 from repro.compiler.passes.manager import pipeline_digest
 from repro.minic import ast as minic_ast
 from repro.minic.checker import Symbol
+from repro.parallel.stats import EngineStats
 
 #: Default number of cached binaries before LRU eviction kicks in.
 DEFAULT_CACHE_ENTRIES = 1024
@@ -206,3 +207,34 @@ class CompileCache:
             )
             self.store(key, binary)
         return binary
+
+
+def compile_counted(
+    program: minic_ast.Program,
+    config: CompilerConfig,
+    stats: EngineStats,
+    cache: CompileCache | None = None,
+    name: str = "",
+    program_fp: str | None = None,
+) -> CompiledBinary:
+    """Compile *program* for *config*, through *cache* when one is given,
+    and account the compile in *stats*: the cache's hit, miss and
+    eviction deltas, and the pass report of a fresh compile.  Parent and
+    worker compiles both come through here."""
+    if cache is None:
+        binary = compile_program(program, config, name=name)
+    else:
+        counts = cache.stats
+        hits, misses, evictions = counts.hits, counts.misses, counts.evictions
+        binary = cache.compile(program, config, name=name, program_fp=program_fp)
+        stats.cache_hits += counts.hits - hits
+        stats.cache_misses += counts.misses - misses
+        stats.cache_evictions += counts.evictions - evictions
+        if counts.misses == misses:
+            return binary  # a replayed artifact: its passes ran when it was built
+    for pass_name, row in binary.pass_report.per_pass().items():
+        totals = stats.pass_timings.setdefault(pass_name, [0, 0, 0.0])
+        totals[0] += row["applications"]
+        totals[1] += row["changes"]
+        totals[2] += row["seconds"]
+    return binary

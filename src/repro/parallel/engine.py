@@ -48,7 +48,7 @@ from repro.compiler.implementations import CompilerConfig
 from repro.errors import EngineConfigError, ReproError
 from repro.minic import ast as minic_ast
 from repro.minic import load
-from repro.parallel.cache import CompileCache
+from repro.parallel.cache import CompileCache, compile_counted
 from repro.parallel.faults import CORRUPT, CORRUPT_CRC_MASK, FaultPlan, execute_fault
 from repro.parallel.stats import EngineStats
 from repro.parallel.supervisor import QuarantineEntry, SupervisedPool, SupervisorPolicy
@@ -126,26 +126,18 @@ class _Task:
 
 @dataclass
 class _Reply:
-    """One task's gathered results plus worker-side accounting."""
+    """One task's gathered results plus its worker-side counters."""
 
     job_idx: int
     #: (input_idx, implementation name, result) triples.  Each result
     #: carries its ``output_checksum``, computed worker-side once from the
     #: normalized observation — the parent never re-derives it.
     results: list[tuple[int, str, ExecutionResult]]
-    #: (implementation name, reason) for configs that failed to
-    #: compile/execute — degraded rather than fatal.
-    failed: tuple[tuple[str, str], ...]
-    cache_hits: int
-    cache_misses: int
-    cache_evictions: int
-    seconds: float
+    #: This task's counters (executions, compiles, decodes, its latency),
+    #: folded into the engine's stats parent-side with ``merge``.
+    stats: EngineStats
     #: CRC32 over the pickled results — the parent's integrity check.
     crc: int = 0
-    #: Executor deltas for this task (folded into EngineStats parent-side).
-    lockstep_runs: int = 0
-    decode_hits: int = 0
-    decode_misses: int = 0
 
 
 def _results_crc(results: list[tuple[int, str, ExecutionResult]]) -> int:
@@ -201,19 +193,27 @@ def _worker_program(payload: ProgramPayload) -> minic_ast.Program:
 
 
 def _worker_server(
-    payload: ProgramPayload, config: CompilerConfig, base_fuel: int
+    payload: ProgramPayload, config: CompilerConfig, base_fuel: int, stats: EngineStats
 ) -> ForkServer:
+    """The warm server for (*payload*, *config*), counting into *stats*."""
     servers: OrderedDict = _WORKER["servers"]
     server_key = (payload.key, config.name)
     server = servers.get(server_key)
     if server is None:
-        cache: CompileCache = _WORKER["cache"]
         program = _worker_program(payload)
-        binary = cache.compile(program, config, name=payload.name, program_fp=payload.key)
+        binary = compile_counted(
+            program,
+            config,
+            stats,
+            cache=_WORKER["cache"],
+            name=payload.name,
+            program_fp=payload.key,
+        )
         server = ForkServer(binary, fuel=base_fuel)
         servers[server_key] = server
     else:
         servers.move_to_end(server_key)
+    server.stats = stats
     return server
 
 
@@ -224,22 +224,17 @@ def _worker_run(task: _Task) -> _Reply:
     from repro.core.hashing import observation_checksum
 
     started = time.perf_counter()
-    cache: CompileCache = _WORKER["cache"]
+    stats = EngineStats()
     normalizer = _WORKER["normalizer"]
-    hits0, misses0 = cache.stats.hits, cache.stats.misses
-    evictions0 = cache.stats.evictions
     results: list[tuple[int, str, ExecutionResult]] = []
-    failed: list[tuple[str, str]] = []
-    executor = [0, 0, 0]  # lockstep runs, decode hits, decode misses
     for config in task.configs:
         try:
-            server = _worker_server(task.payload, config, task.base_fuel)
-        except ReproError as exc:
-            # Per-implementation build failure: degrade this program's
-            # cross-check rather than killing the task (and the batch).
-            failed.append((config.name, f"compile failed: {exc}"))
+            server = _worker_server(task.payload, config, task.base_fuel, stats)
+        except ReproError:
+            # Per-implementation build failure: its cells stay absent and
+            # the parent drops them from the cross-check (k-1) rather
+            # than the task (and the batch) failing.
             continue
-        counters0 = (server.lockstep_runs, server.decode_hits, server.decode_misses)
         try:
             for input_idx, input_bytes, fuel in task.runs:
                 result = server.run(input_bytes, fuel=fuel)
@@ -249,28 +244,16 @@ def _worker_run(task: _Task) -> _Reply:
                     normalizer.normalize_observation(result.observation())
                 )
                 results.append((input_idx, config.name, result))
-        except ReproError as exc:
+        except ReproError:
             results = [r for r in results if r[1] != config.name]
-            failed.append((config.name, f"execution failed: {exc}"))
-        executor[0] += server.lockstep_runs - counters0[0]
-        executor[1] += server.decode_hits - counters0[1]
-        executor[2] += server.decode_misses - counters0[2]
+    for _input_idx, impl_name, _result in results:
+        stats.exec_counts[impl_name] += 1
+    stats.executor_batch_runs = len(results)
     crc = _results_crc(results)
     if task.fault == CORRUPT:
         crc ^= CORRUPT_CRC_MASK
-    return _Reply(
-        job_idx=task.job_idx,
-        results=results,
-        failed=tuple(failed),
-        cache_hits=cache.stats.hits - hits0,
-        cache_misses=cache.stats.misses - misses0,
-        cache_evictions=cache.stats.evictions - evictions0,
-        seconds=time.perf_counter() - started,
-        crc=crc,
-        lockstep_runs=executor[0],
-        decode_hits=executor[1],
-        decode_misses=executor[2],
-    )
+    stats.batch_latencies.append(time.perf_counter() - started)
+    return _Reply(job_idx=task.job_idx, results=results, stats=stats, crc=crc)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +371,7 @@ class ParallelEngine:
             for job_rows in gathered
         ]
         for job in jobs:
-            self.stats.record_input(len(job.inputs))
+            self.stats.inputs_checked += len(job.inputs)
         return ordered
 
     def run_one(self, payload: ProgramPayload, input_bytes: bytes) -> dict[str, ExecutionResult]:
@@ -458,9 +441,9 @@ class ParallelEngine:
         Replies are processed in task-seq order (not arrival order) so
         stats accounting and result assembly stay scheduling-independent.
         Quarantined tasks fill their cells with ``DEADLINE`` placeholders;
-        per-implementation failures reported by healthy workers leave
-        their cells absent — both are folded into ``DiffResult.dropped``
-        by the caller.
+        per-implementation failures on healthy workers leave their cells
+        absent — the caller drops (and counts) both in
+        ``DiffResult.dropped``.
         """
         if not tasks:
             return
@@ -470,26 +453,12 @@ class ParallelEngine:
             reply: _Reply = replies[seq]
             for input_idx, impl_name, result in reply.results:
                 gathered[reply.job_idx][input_idx][impl_name] = result
-                self.stats.record_exec(impl_name)
-            for impl_name, _reason in reply.failed:
-                self.stats.record_degraded(impl_name)
-            self.stats.record_cache(
-                reply.cache_hits, reply.cache_misses, reply.cache_evictions
-            )
-            self.stats.record_batch(reply.seconds)
-            self.stats.record_executor(
-                lockstep=reply.lockstep_runs,
-                decode_hits=reply.decode_hits,
-                decode_misses=reply.decode_misses,
-                batches=1,
-                batch_runs=len(reply.results),
-            )
+            self.stats.merge(reply.stats)
         for seq in sorted(quarantined):
             entry = quarantined[seq]
             task = by_seq[seq]
             self.quarantine_log.append(entry)
             for config in task.configs:
-                self.stats.record_degraded(config.name)
                 placeholder = deadline_result(config.name, entry.reason)
                 for input_idx, _input_bytes, _fuel in task.runs:
                     gathered[task.job_idx][input_idx].setdefault(
@@ -581,7 +550,7 @@ class ParallelEngine:
                     )
             if not retries:
                 return
-            self.stats.record_retry(sum(len(task.runs) for task in retries))
+            self.stats.timeout_retries += sum(len(task.runs) for task in retries)
             self._dispatch(retries, gathered)
 
 

@@ -174,7 +174,7 @@ class SupervisedPool:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-        self.stats.record_restart()
+        self.stats.worker_restarts += 1
 
     # -------------------------------------------------------------- dispatch
 
@@ -223,9 +223,9 @@ class SupervisedPool:
                         attempts=state.attempts,
                         reason=reason,
                     )
-                    self.stats.record_quarantine()
+                    self.stats.quarantined += 1
                 else:
-                    self.stats.record_task_retry()
+                    self.stats.task_retries += 1
             if failed:
                 # A stalled wave may have left hung workers behind and a
                 # crashed worker may have poisoned shared pool state;

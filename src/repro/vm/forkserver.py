@@ -56,15 +56,14 @@ class ForkServer:
         self.binary = binary
         self.fuel = fuel
         self.layout = ImageLayout(binary)
-        self.executions = 0
         self._verify = os.environ.get("REPRO_VERIFY_LOCKSTEP") == "1"
-        #: Optional EngineStats sink; counters below are always kept so
-        #: engine workers can report deltas without holding a stats object.
+        #: Optional EngineStats sink for runs and decodes; the counters
+        #: below are this server's own.
         self.stats = stats
         self._decoded: DecodedProgram | None = None
+        self.executions = 0
         self.decode_hits = 0
         self.decode_misses = 0
-        self.lockstep_runs = 0
 
     def decoded(self) -> DecodedProgram:
         """The binary's decoded instruction tables, built on first use."""
@@ -73,7 +72,7 @@ class ForkServer:
             decoded = self._decoded = DecodedProgram(self.binary, self.layout)
             self.decode_misses += 1
             if self.stats is not None:
-                self.stats.record_executor(decode_misses=1)
+                self.stats.decode_misses += 1
         return decoded
 
     def run(self, input_bytes: bytes, fuel: int | None = None, coverage=None) -> ExecutionResult:
@@ -88,9 +87,10 @@ class ForkServer:
         decoded = self.decoded()
         if warm:
             self.decode_hits += 1
-        self.lockstep_runs += 1
-        if self.stats is not None:
-            self.stats.record_executor(lockstep=1, decode_hits=int(warm))
+        stats = self.stats
+        if stats is not None:
+            stats.lockstep_runs += 1
+            stats.decode_hits += warm
         result = run_lockstep(
             decoded, input_bytes=input_bytes, fuel=use_fuel, coverage=coverage
         )

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compiler import binary as binary_module
 from repro.core.compdiff import CompDiff
 from repro.errors import EngineConfigError, ReproError
 from repro.juliet import build_suite
 from repro.parallel import FaultPlan, ParallelEngine, SupervisorPolicy
 from repro.parallel.engine import _split_evenly
 from repro.parallel.faults import CORRUPT, CRASH, HANG
+from repro.vm import ForkServer
 from repro.vm.execution import deadline_result
 
 pytestmark = [pytest.mark.parallel, pytest.mark.faults]
@@ -208,6 +210,83 @@ def test_all_implementations_quarantined_is_fatal(corpus):
     with CompDiff(workers=2, policy=policy, fault_plan=plan) as engine:
         with pytest.raises(ReproError, match="fewer than two"):
             engine.check_batch(corpus[:1])
+
+
+# --------------------------------------------------------- degraded accounting
+
+#: The implementation the injected failures below knock out.
+FAILING = "gcc-O2"
+K1_SOURCE = 'int main(void) { printf("%d\\n", input_size()); return 0; }'
+K1_INPUTS = [b"", b"a", b"ab"]
+
+
+def _fail_execution(monkeypatch):
+    run = ForkServer.run
+
+    def failing_run(server, input_bytes, fuel=None, coverage=None):
+        if server.binary.config.name == FAILING:
+            raise ReproError("injected execution failure")
+        return run(server, input_bytes, fuel=fuel, coverage=coverage)
+
+    monkeypatch.setattr(ForkServer, "run", failing_run)
+
+
+def _fail_compile(monkeypatch):
+    compile_module = binary_module.compile_module_instrumented
+
+    def failing_compile(program, config, *args, **kwargs):
+        if config.name == FAILING:
+            raise ReproError("injected compile failure")
+        return compile_module(program, config, *args, **kwargs)
+
+    monkeypatch.setattr(binary_module, "compile_module_instrumented", failing_compile)
+
+
+def _check_source(engine):
+    return engine.check_source(K1_SOURCE, K1_INPUTS, name="k1").diffs
+
+
+def _build_then_run_inputs(engine):
+    """The fuzzer's path: build once, then one oracle call per input."""
+    servers = engine.build_source(K1_SOURCE, name="k1")
+    return [engine.run_input(servers, data) for data in K1_INPUTS]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "inject, drive",
+    [
+        (_fail_execution, _check_source),
+        (_fail_compile, _check_source),
+        (_fail_compile, _build_then_run_inputs),
+    ],
+    ids=["execution-failure", "compile-failure", "compile-failure-fuzzer-path"],
+)
+def test_degraded_counts_each_dropped_cell_once(monkeypatch, workers, inject, drive):
+    """Both engines count one k-1 drop per (input, implementation) cell
+    listed in ``DiffResult.dropped``, whichever way the cell was lost.
+    Workers fork after the patch is in place, so they inherit it."""
+    inject(monkeypatch)
+    with CompDiff(workers=workers) as engine:
+        diffs = drive(engine)
+        stats = engine.stats
+    assert all(FAILING in diff.dropped for diff in diffs)
+    assert sum(stats.degraded.values()) == sum(len(diff.dropped) for diff in diffs)
+
+
+def test_degraded_counts_each_quarantined_cell_once():
+    policy = SupervisorPolicy(
+        max_attempts=2, task_deadline=0.6, backoff_base=0.01,
+        backoff_max=0.05, poll_interval=0.002,
+    )
+    plan = FaultPlan(seed=0, poison={0: CRASH})
+    with CompDiff(workers=2, policy=policy, fault_plan=plan) as engine:
+        diffs = _check_source(engine)
+        stats = engine.stats
+    assert stats.quarantined == 1
+    dropped = sum(len(diff.dropped) for diff in diffs)
+    assert dropped > 0
+    assert sum(stats.degraded.values()) == dropped
 
 
 # ------------------------------------------------------- validation satellites

@@ -271,7 +271,7 @@ int main(void) {
             assert server.run(payload).stdout == str(i).encode()
         assert server.decode_misses == 1
         assert server.decode_hits == 2
-        assert server.lockstep_runs == 3
+        assert server.executions == 3
         snap = stats.snapshot()["executor"]
         assert snap["lockstep_runs"] == 3
         assert snap["decode_hits"] == 2 and snap["decode_misses"] == 1
@@ -289,7 +289,7 @@ int main(void) {
             assert coverage.trace, "instrumented run recorded no edges"
             assert_identical(result, reference, repr(payload))
         assert server.decode_misses == 1 and server.decode_hits == 3
-        assert server.lockstep_runs == 4
+        assert server.executions == 4
 
     def test_uninstrumented_binary_ignores_coverage_map(self):
         server = ForkServer(compile_source(self.BRANCHY, implementation("gcc-O0")))

@@ -156,6 +156,25 @@ def test_parallel_stats_are_deterministic(corpus):
     assert len(stats.batch_latencies) == stats.batches
 
 
+def test_worker_compiles_report_pass_timings(corpus):
+    """Worker compiles fold their pass reports into the parent's stats: a
+    cold-cache check with no partial timeouts (so every implementation
+    compiles exactly once) reports the same pass applications and changes
+    serially and in parallel."""
+    src, inputs, name = corpus[0]
+    serial = CompDiff()
+    serial.check_source(src, inputs, name=name)
+    assert serial.stats.timeout_retries == 0
+    with CompDiff(workers=2) as engine:
+        engine.check_source(src, inputs, name=name)
+
+    def applications_and_changes(stats):
+        return {pass_name: tuple(row[:2]) for pass_name, row in stats.pass_timings.items()}
+
+    assert applications_and_changes(serial.stats)
+    assert applications_and_changes(engine.stats) == applications_and_changes(serial.stats)
+
+
 def test_engine_rejects_bad_worker_counts():
     with pytest.raises(ValueError):
         CompDiff(workers=0)

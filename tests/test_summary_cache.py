@@ -9,7 +9,6 @@ import pytest
 from repro.compiler.binary import compile_module
 from repro.compiler.implementations import implementation
 from repro.minic import load
-from repro.parallel.stats import EngineStats
 from repro.static_analysis import SummaryCache, UBOracle
 from repro.static_analysis.interproc import (
     SUMMARY_VERSION,
@@ -150,20 +149,3 @@ class TestVerdictEquality:
         # The chain case really does produce findings in both runs.
         assert any(checker == "uninit_read" for checker, *_ in cold)
 
-
-class TestEngineStatsFold:
-    def test_record_summary_cache_folds_and_zeroes(self):
-        cache = SummaryCache()
-        summarize_module(_module(SOURCE), cache=cache)
-        summarize_module(_module(SOURCE), cache=cache)
-        hits, misses = cache.stats.hits, cache.stats.misses
-        assert hits > 0 and misses > 0
-
-        stats = EngineStats()
-        stats.record_summary_cache(cache)
-        assert stats.summary_hits == hits
-        assert stats.summary_misses == misses
-        # Counters are consumed so a second fold can't double-count.
-        assert cache.stats.hits == cache.stats.misses == 0
-        stats.record_summary_cache(cache)
-        assert stats.summary_hits == hits
