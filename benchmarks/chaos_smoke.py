@@ -8,15 +8,16 @@ the quarantine ledger.  This script drives that invariant end-to-end
 with real subprocess shards, real SIGKILLs, and a really corrupted
 checkpoint:
 
-1. a fault-free serial generative campaign (the reference corpus),
-   banking through a fresh corpus DB;
+1. a fault-free serial generative campaign (the reference corpus);
 2. the same campaign under ``--shards 2`` with a crash, a checkpoint
-   corruption, and a hang injected, merging through a second fresh
-   DB — must merge byte-identical, and both DBs must hold the same
-   class keys as the bank;
-3. the same campaign with a poison seed — must quarantine exactly that
+   corruption, and a hang injected — must merge byte-identical;
+3. that faulted campaign again, from a fresh campaign root, into the
+   serial reference bank (a bank shared across campaigns) — must bank
+   nothing new, count every key as a duplicate, and leave the bank's
+   bytes unchanged;
+4. the same campaign with a poison seed — must quarantine exactly that
    seed into the ledger and complete with the rest of the corpus;
-4. a sharded sancheck campaign over the planted fixtures — must match
+5. a sharded sancheck campaign over the planted fixtures — must match
    its serial verdict stream and bank bytes.
 
 Run directly (``make chaos``)::
@@ -38,8 +39,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.campaigns.runtime import CampaignRuntime, ShardPolicy
-from repro.db import CorpusDB
-from repro.generative.bank import BankedRepro, CorpusBank
+from repro.generative.bank import CorpusBank
 from repro.generative.campaign import GenerativeCampaign, GenerativeOptions
 from repro.parallel.faults import ShardFaultPlan
 from repro.sanval.bank import FindingBank
@@ -71,8 +71,9 @@ def gen_options() -> GenerativeOptions:
     return GenerativeOptions(seed=0, budget=BUDGET, reduce=False, stabilize_budget=4)
 
 
-def run_sharded(workdir: str, name: str, fault_plan, policy=POLICY, db=None):
-    bank_dir = os.path.join(workdir, f"{name}-merged")
+def run_sharded(workdir: str, name: str, fault_plan, policy=POLICY, bank_dir=None):
+    if bank_dir is None:
+        bank_dir = os.path.join(workdir, f"{name}-merged")
     runtime = CampaignRuntime(
         GenerativeCampaign,
         gen_options(),
@@ -81,7 +82,6 @@ def run_sharded(workdir: str, name: str, fault_plan, policy=POLICY, db=None):
         shards=2,
         policy=policy,
         fault_plan=fault_plan,
-        db=db,
     )
     result = runtime.run()
     return runtime, result, corpus_bytes(bank_dir)
@@ -94,10 +94,7 @@ def main() -> int:
         print(f"chaos smoke: {BUDGET}-seed generative campaign, 2 shards")
 
         serial_dir = os.path.join(workdir, "serial")
-        serial_db = CorpusDB(os.path.join(workdir, "serial.db"))
-        with GenerativeCampaign(
-            gen_options(), CorpusBank(serial_dir), db=serial_db
-        ) as campaign:
+        with GenerativeCampaign(gen_options(), CorpusBank(serial_dir)) as campaign:
             serial = campaign.run()
         reference = corpus_bytes(serial_dir)
         ok &= check(
@@ -107,10 +104,7 @@ def main() -> int:
         )
 
         plan = ShardFaultPlan(once={1: "crash", 2: "hang", 3: "corrupt"})
-        faulted_db = CorpusDB(os.path.join(workdir, "faulted.db"))
-        runtime, merged, merged_bytes = run_sharded(
-            workdir, "faulted", plan, db=faulted_db
-        )
+        runtime, merged, merged_bytes = run_sharded(workdir, "faulted", plan)
         shards = runtime.stats.snapshot()["shards"]
         ok &= check(
             "crash+hang+corrupt: merged corpus byte-identical to serial",
@@ -123,15 +117,18 @@ def main() -> int:
             == (serial.generated, serial.banked_new, serial.keys),
         )
         ok &= check("no seeds quarantined by transient faults", not runtime.quarantine)
-        serial_classes = serial_db.class_keys(BankedRepro.KIND)
-        ok &= check(
-            "--db: serial and crash+hang+corrupt runs claimed the same classes",
-            serial_classes == faulted_db.class_keys(BankedRepro.KIND)
-            == set(CorpusBank(serial_dir).keys()),
-            f"{len(serial_classes)} classes",
+
+        runtime, shared, shared_bytes = run_sharded(
+            workdir, "shared", plan, bank_dir=serial_dir
         )
-        serial_db.close()
-        faulted_db.close()
+        shards = runtime.stats.snapshot()["shards"]
+        ok &= check(
+            "shared bank: crash+hang+corrupt rerun into the serial bank banked nothing new",
+            shared.banked_new == 0
+            and shared.duplicates == len(shared.keys) == len(serial.keys)
+            and shared_bytes == reference,
+            f"{shared.duplicates} duplicates, {shards['restarts']} shard restarts absorbed",
+        )
 
         poison_policy = ShardPolicy(
             seed_deadline=8.0, max_seed_attempts=2, backoff_base=0.01, backoff_max=0.1

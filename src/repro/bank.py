@@ -12,19 +12,23 @@ of :class:`~repro.sanval.bank.BankedFinding`).  Both use one layout::
 
 What differs between the two is declared once, on the entry type:
 
-* ``KIND`` — the kind string (the DB class kind, the campaign state
-  kind and the ``--kind`` value);
+* ``KIND`` — the kind string (the campaign state kind and the
+  ``--kind`` value);
 * ``LIST_NAME`` — the manifest's entry-list name;
 * ``VERSION`` — the manifest format version;
 * ``PROGRAMS`` — entry field -> program file suffix, in write order;
 * ``recompute_key()`` — the dedupe key recomputed from the metadata.
 
-Entry types also provide ``key``, ``source`` (the main program, whose
-content fingerprint the corpus DB records), ``to_json()`` (the manifest
-record) and ``from_json(record, *program_texts)`` (texts in
-``PROGRAMS`` order).  :class:`Bank`, ``repro bank fsck`` (:mod:`repro.campaigns.fsck`)
-and the corpus DB (:mod:`repro.db`) read these declarations; none of
-them branches on the kind.
+Entry types also provide ``key``, ``to_json()`` (the manifest record)
+and ``from_json(record, *program_texts)`` (texts in ``PROGRAMS``
+order).  :class:`Bank` and ``repro bank fsck``
+(:mod:`repro.campaigns.fsck`) read these declarations; neither
+branches on the kind.
+
+The bank directory is the only store of banked classes.  Campaigns
+that bank into one shared directory dedupe against each other (a key
+already banked is a duplicate), and ``repro bank merge`` folds banks
+written elsewhere into one through :meth:`Bank.add`.
 
 Manifest and program writes are atomic and durable (tmp + fsync +
 ``os.replace`` + directory fsync via :mod:`repro.persist`), and program

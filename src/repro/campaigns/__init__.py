@@ -8,9 +8,9 @@ the machinery that shape shares:
 
 * :mod:`repro.campaigns.kernel` — the one seed walk both campaigns
   run: resume and checkpoint through one state record (``RPRCAMP1``,
-  also each shard's result record), and one banking step with the
-  optional corpus-DB claim.  Each campaign supplies only its per-seed
-  step, seed list, labels and result type;
+  also each shard's result record), and one banking step that counts a
+  key the bank already holds as a duplicate.  Each campaign supplies
+  only its per-seed step, seed list, labels and result type;
 * :mod:`repro.campaigns.sigint` — deferred Ctrl-C: interrupt at a seed
   boundary with the checkpoint flushed, never mid-seed;
 * :mod:`repro.campaigns.runtime` — the sharded, self-healing campaign

@@ -9,9 +9,10 @@ its per-seed step, its seed list and labels, and its result type.
 
 The sharded runtime (:mod:`repro.campaigns.runtime`) drives the same
 class over contiguous blocks and merges shard banks through the same
-:func:`bank_step` the serial walk uses.  This module must not import
-the runtime (the runtime imports it), so importing a campaign stays
-cheap.
+:func:`bank_step` the serial walk uses.  Campaigns that share one bank
+directory dedupe against each other through that step too.  This
+module must not import the runtime (the runtime imports it), so
+importing a campaign stays cheap.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.campaigns.sigint import DeferredInterrupt
 from repro.core.compdiff import CompDiff
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, EngineConfigError
 from repro.persist import read_record, write_record
 
 #: Magic of :class:`CampaignState` records (checkpoints and shard results).
@@ -67,27 +68,17 @@ def read_state(path: str, kind: str, digest: str) -> CampaignState:
     )
 
 
-def bank_step(bank, key: str, make_entry, db=None):
+def bank_step(bank, key: str, make_entry):
     """Bank *key*'s class unless it is held; return the new entry or None.
 
-    A key already in *bank* is a duplicate, and so is a key whose claim
-    in the shared *db* is lost.  Any other key is built by *make_entry*
-    and added.  The order is claim, bank write, commit, and a key found
-    already banked is claimed again before it counts as a duplicate, so
-    a rerun repairs a kill between the bank write and the commit and
-    every bank stays a subset of its DB.  The claim is idempotent.
+    A key already in *bank* is a duplicate, whether this walk, an
+    earlier shard or another campaign sharing the bank banked it.  Any
+    other key is built by *make_entry* and added.
     """
     if key in bank:
-        if db is not None:
-            db.claim(bank.get(key))
-            db.commit()
         return None
     entry = make_entry()
-    if db is not None and not db.claim(entry):
-        return None
     bank.add(entry)
-    if db is not None:
-        db.commit()
     return entry
 
 
@@ -108,8 +99,7 @@ class Campaign:
     checkpoint but never run.  ``progress`` is called with each offset
     before that seed runs.  ``interruptible`` controls deferred-SIGINT
     handling; shard workers turn it off so the supervisor owns
-    interrupts.  ``db``, when given, is the shared
-    :class:`~repro.db.CorpusDB` consulted by every banking decision.
+    interrupts.
     """
 
     #: State-record kind: the bank entry type's ``KIND``.
@@ -132,11 +122,13 @@ class Campaign:
         skip_offsets: frozenset[int] = frozenset(),
         progress: Callable[[int], None] | None = None,
         interruptible: bool = True,
-        db=None,
     ) -> None:
+        if options.checkpoint_every < 1:
+            raise EngineConfigError(
+                f"checkpoint_every must be >= 1, got {options.checkpoint_every}"
+            )
         self.options = options
         self.bank = bank
-        self.db = db
         self.seed_slice = seed_slice
         self.skip_offsets = frozenset(skip_offsets)
         self.progress = progress
@@ -217,7 +209,7 @@ class Campaign:
         """Append *key* to the key stream and run it through :func:`bank_step`."""
         result.keys.append(key)
         if self.bank is not None:
-            result.count(bank_step(self.bank, key, make_entry, self.db))
+            result.count(bank_step(self.bank, key, make_entry))
 
     # ---------------------------------------------------------- checkpoints
 

@@ -46,7 +46,9 @@ The merge replays serial banking order: shard key streams are
 concatenated in shard order and run through the kernel's banking step
 (:func:`~repro.campaigns.kernel.bank_step`), each key's entry taken from
 the first shard bank that holds it — the lowest-offset entry, exactly
-the one a serial run would have banked first.  Invariant (pinned by
+the one a serial run would have banked first.  A key the target bank
+already holds (another campaign sharing the bank banked it) is a
+duplicate in the merge, as in a serial walk.  Invariant (pinned by
 ``tests/test_campaign_runtime.py`` and ``make chaos``): for any
 :class:`~repro.parallel.faults.ShardFaultPlan`, the merged corpus is
 byte-identical to a fault-free serial run, minus only the contributions
@@ -271,7 +273,6 @@ class CampaignRuntime:
         policy: ShardPolicy | None = None,
         fault_plan: ShardFaultPlan | None = None,
         stats: EngineStats | None = None,
-        db=None,
     ) -> None:
         if shards < 1:
             raise EngineConfigError(f"shards must be >= 1, got {shards}")
@@ -284,9 +285,6 @@ class CampaignRuntime:
         self.bank = bank
         self.root = root
         self.shards = shards
-        #: Optional shared :class:`~repro.db.CorpusDB` consulted by the
-        #: merge's banking step for cross-campaign class dedupe.
-        self.db = db
         self.policy = policy if policy is not None else ShardPolicy()
         self.fault_plan = fault_plan
         self.stats = stats if stats is not None else EngineStats()
@@ -618,7 +616,6 @@ class CampaignRuntime:
                     self.bank,
                     key,
                     lambda: next(shard.get(key) for shard in banks if key in shard),
-                    self.db,
                 )
                 merged.count(entry)
         merged.finish(self.bank)

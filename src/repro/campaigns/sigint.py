@@ -1,10 +1,12 @@
-"""Deferred SIGINT for campaign loops: interrupt at seed boundaries only.
+"""Deferred SIGINT for campaign loops: interrupt at loop boundaries only.
 
-A Ctrl-C that lands mid-seed can tear state the campaign was about to
-checkpoint — the byte-input fuzzer already defers the signal to its
-iteration boundary and flushes before raising; this context manager
-gives the campaign kernel's seed walk (:mod:`repro.campaigns.kernel`)
-the same behavior.
+A Ctrl-C that lands mid-iteration can tear state the loop was about to
+checkpoint.  This context manager turns the signal into a flag that the
+loop polls at its boundary, where it flushes a checkpoint and then
+raises.  Both checkpointing loops use it: the campaign kernel's seed
+walk (:mod:`repro.campaigns.kernel`) and the byte-input fuzzer's
+iteration loop (:mod:`repro.fuzzing.fuzzer`, enabled only with a
+checkpoint directory).
 
 Usage::
 

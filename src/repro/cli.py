@@ -13,11 +13,13 @@ Commands:
 * ``precision``      — per-checker TP/FP/FN scoreboard vs the oracle;
 * ``bisect FILE``    — attribute a divergence to one pass application;
 * ``bank fsck DIR``  — salvage a corrupted corpus bank;
-* ``db stats DB``    — class counts of the shared corpus database;
-* ``db import``      — fold a bank into the corpus database;
-* ``db export``      — reconstitute a bank from the corpus database;
+* ``bank merge DST SRC...`` — fold banks of one kind into one;
 * ``impls``          — list the compiler implementations;
 * ``targets``        — print the Table 4 target inventory.
+
+Bank directories are the only store of banked classes: campaigns that
+share one ``--corpus``/``--bank`` directory dedupe against each other,
+and ``bank merge`` folds banks written elsewhere into one.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from __future__ import annotations
 import argparse
 import binascii
 import sys
+from pathlib import Path
 
-from repro.bank import bank_type, bank_types, open_bank
+from repro.bank import MANIFEST, open_bank
 from repro.compiler import (
     DEFAULT_IMPLEMENTATIONS,
     compile_source,
@@ -40,15 +43,6 @@ from repro.core.report import make_report
 from repro.errors import ReproError
 from repro.fuzzing import CompDiffFuzzer, FuzzerOptions
 from repro.vm import run_binary
-
-
-def _open_db_arg(path: str | None):
-    """Open ``--db PATH`` as a :class:`~repro.db.CorpusDB`, or None."""
-    if path is None:
-        return None
-    from repro.db import CorpusDB
-
-    return CorpusDB(path)
 
 
 def _read_input(args: argparse.Namespace) -> bytes:
@@ -180,9 +174,9 @@ def _print_shard_summary(runtime) -> None:
 def _run_campaign(args, command, campaign, options, bank_dir, resume, report) -> int:
     """Run a seed-list campaign serially or under ``--shards``, then report.
 
-    Shared by ``generate`` and ``sancheck``: the serial/sharded choice,
-    the ``--db`` open and close, and the Ctrl-C message (*resume* is the
-    command that continues the run).  *report* is called as
+    Shared by ``generate`` and ``sancheck``: the serial/sharded choice
+    and the Ctrl-C message (*resume* is the command that continues the
+    run).  *report* is called as
     ``report(args, result, runtime, bank)`` (``runtime`` is None for a
     serial run) and returns the exit code.
     """
@@ -194,11 +188,6 @@ def _run_campaign(args, command, campaign, options, bank_dir, resume, report) ->
         )
         return 2
     bank = campaign.bank_type(bank_dir) if bank_dir else None
-    try:
-        db = _open_db_arg(args.db)
-    except ReproError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return 2
     runtime = None
     try:
         if args.shards > 1:
@@ -211,11 +200,10 @@ def _run_campaign(args, command, campaign, options, bank_dir, resume, report) ->
                 root=checkpoint_dir,
                 shards=args.shards,
                 policy=_shard_policy(args),
-                db=db,
             )
             result = runtime.run()
         else:
-            with campaign(options, bank, db=db) as walk:
+            with campaign(options, bank) as walk:
                 result = walk.run()
     except KeyboardInterrupt:
         if checkpoint_dir:
@@ -226,9 +214,6 @@ def _run_campaign(args, command, campaign, options, bank_dir, resume, report) ->
         else:
             print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
         return 130
-    finally:
-        if db is not None:
-            db.close()
     return report(args, result, runtime, bank)
 
 
@@ -390,25 +375,13 @@ def cmd_bank_fsck(args: argparse.Namespace) -> int:
     ledger recording why), then rewrites the manifest over the
     survivors so the bank loads cleanly again (docs/ROBUSTNESS.md).
     Exit 0 when the bank was already clean, 1 when something was
-    salvaged, 2 when the directory is not a bank at all.  With ``--db``
-    the (post-salvage) manifest is additionally cross-checked against
-    the shared corpus database: a bank referencing equivalence classes
-    the DB has never seen is refused with exit 2.
+    salvaged, 2 when the directory is not a bank at all.
     """
     import json
 
     from repro.campaigns.fsck import fsck_bank
 
-    try:
-        report = fsck_bank(args.dir, kind=args.kind)
-        if args.db is not None:
-            from repro.db import CorpusDB, verify_bank_against_db
-
-            with CorpusDB(args.db) as db:
-                verify_bank_against_db(args.dir, db)
-    except ReproError as exc:
-        print(f"bank fsck: {exc}", file=sys.stderr)
-        return 2
+    report = fsck_bank(args.dir, kind=args.kind)
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
@@ -416,39 +389,25 @@ def cmd_bank_fsck(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_db(args: argparse.Namespace) -> int:
-    """`repro db`: maintain the shared fingerprint-keyed corpus database.
+def cmd_bank_merge(args: argparse.Namespace) -> int:
+    """`repro bank merge`: fold the SRC banks into the DST bank.
 
-    ``stats`` prints the class counts; ``import`` folds a bank directory
-    into the DB (first writer per equivalence class wins); ``export``
-    reconstitutes a bank directory from the classes the DB holds.  The
-    DB refuses to open when its ``.meta`` identity sidecar is missing,
-    corrupt, or pins a different schema version (exit 2).
+    Every source loads strictly and names its kind in its manifest; the
+    sources and DST (when it already holds a bank) must all be one kind,
+    or the command exits 2.  Entries go in source by source through
+    :meth:`~repro.bank.Bank.add`, so a key DST already holds stays as
+    it is and otherwise the first source holding a key wins.
     """
-    import json
-
-    from repro.db import CorpusDB
-
-    try:
-        with CorpusDB(args.db) as db:
-            if args.db_command == "stats":
-                if args.json:
-                    print(json.dumps(db.stats(), indent=2, sort_keys=True))
-                else:
-                    print(db.render_stats())
-                return 0
-            if args.db_command == "import":
-                bank = open_bank(args.dir, args.kind)
-                count = db.import_bank(bank)
-                print(f"imported {count} new {bank.entry_type.KIND} class(es) from {args.dir}")
-            else:
-                bank = bank_type(args.kind)(args.dir)
-                count = db.export_bank(bank)
-                print(f"exported {count} new {bank.entry_type.KIND} class(es) into {args.dir}")
-            return 0
-    except ReproError as exc:
-        print(f"db {args.db_command}: {exc}", file=sys.stderr)
-        return 2
+    dst = open_bank(args.dst) if (Path(args.dst) / MANIFEST).exists() else None
+    sources = [open_bank(root) for root in args.sources]
+    kinds = sorted({bank.entry_type.KIND for bank in [*sources, dst] if bank is not None})
+    if len(kinds) > 1:
+        raise ReproError(f"bank merge: cannot mix {' and '.join(kinds)} banks")
+    if dst is None:
+        dst = type(sources[0])(args.dst)
+    merged = sum(dst.add(entry) for source in sources for entry in source)
+    print(f"merged {merged} new {kinds[0]} class(es) into {args.dst}")
+    return 0
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
@@ -870,10 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--resume", default=None, metavar="DIR",
                           help="resume a killed campaign from its checkpoint "
                                "directory (pass the original flags)")
-    generate.add_argument("--db", default=None, metavar="FILE",
-                          help="shared corpus database; banked repros are "
-                               "registered by fingerprint and classes another "
-                               "campaign already claimed are skipped")
     _add_shard_flags(generate)
     _add_input_flags(generate)
     generate.set_defaults(func=cmd_generate)
@@ -921,10 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     sancheck.add_argument("--resume", default=None, metavar="DIR",
                           help="resume a killed campaign from its checkpoint "
                                "directory (pass the original flags)")
-    sancheck.add_argument("--db", default=None, metavar="FILE",
-                          help="shared corpus database; banked findings are "
-                               "registered by fingerprint and classes another "
-                               "campaign already claimed are skipped")
     _add_shard_flags(sancheck)
     _add_input_flags(sancheck)
     sancheck.set_defaults(func=cmd_sancheck)
@@ -1003,46 +954,26 @@ def build_parser() -> argparse.ArgumentParser:
     ir.add_argument("--impl", default="gcc-O2", choices=implementation_names())
     ir.set_defaults(func=cmd_ir)
 
-    kinds = tuple(declared.entry_type.KIND for declared in bank_types())
     bank = sub.add_parser("bank", help="corpus bank maintenance")
     bank_sub = bank.add_subparsers(dest="bank_command", required=True)
     fsck = bank_sub.add_parser(
         "fsck", help="salvage a corrupted bank into a corrupt/ sidecar"
     )
     fsck.add_argument("dir", help="bank directory to salvage")
-    fsck.add_argument("--kind", default="auto", choices=("auto", *kinds),
+    fsck.add_argument("--kind", default="auto",
                       help="bank kind when the manifest is too damaged "
                            "to detect it from")
     fsck.add_argument("--json", action="store_true",
                       help="print the salvage report as JSON")
-    fsck.add_argument("--db", default=None, metavar="FILE",
-                      help="refuse (exit 2) when the manifest references "
-                           "classes this corpus database does not contain")
     fsck.set_defaults(func=cmd_bank_fsck)
-
-    db = sub.add_parser("db", help="shared corpus database maintenance")
-    db_sub = db.add_subparsers(dest="db_command", required=True)
-    db_stats = db_sub.add_parser("stats", help="per-table counts")
-    db_stats.add_argument("db", help="corpus database file")
-    db_stats.add_argument("--json", action="store_true",
-                          help="print the counts as JSON")
-    db_stats.set_defaults(func=cmd_db)
-    db_import = db_sub.add_parser(
-        "import", help="fold a bank directory into the database"
+    merge = bank_sub.add_parser(
+        "merge", help="fold banks of one kind into one bank"
     )
-    db_import.add_argument("db", help="corpus database file (created if absent)")
-    db_import.add_argument("dir", help="bank directory to import")
-    db_import.add_argument("--kind", default="auto", choices=("auto", *kinds),
-                           help="bank kind (default: detect from the manifest)")
-    db_import.set_defaults(func=cmd_db)
-    db_export = db_sub.add_parser(
-        "export", help="reconstitute a bank directory from the database"
-    )
-    db_export.add_argument("db", help="corpus database file")
-    db_export.add_argument("dir", help="bank directory to write into")
-    db_export.add_argument("--kind", required=True, choices=kinds,
-                           help="which class kind to export")
-    db_export.set_defaults(func=cmd_db)
+    merge.add_argument("dst", help="bank directory to merge into (created/extended)")
+    merge.add_argument("sources", nargs="+", metavar="src",
+                       help="bank directory to merge from; the first source "
+                            "holding a key wins")
+    merge.set_defaults(func=cmd_bank_merge)
 
     impls = sub.add_parser("impls", help="list compiler implementations")
     impls.add_argument("--pipelines", action="store_true",
@@ -1053,10 +984,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`ReproError` the command does not handle exits 2, the
+    usage-error code, so a broken input never reads as a finding (1).
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

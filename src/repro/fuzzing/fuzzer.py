@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import copy
 import random
-import signal
 import time
 from dataclasses import dataclass, field
 
+from repro.campaigns.sigint import DeferredInterrupt
 from repro.compiler import (
     DEFAULT_IMPLEMENTATIONS,
     FUZZ_CONFIG,
@@ -25,7 +25,7 @@ from repro.compiler import (
 from repro.core.compdiff import CompDiff, DiffResult
 from repro.core.normalize import OutputNormalizer
 from repro.core.triage import DivergenceSignature, signature_of
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, EngineConfigError
 from repro.fuzzing.checkpoint import (
     CampaignCheckpoint,
     load_checkpoint,
@@ -85,7 +85,8 @@ class FuzzerOptions:
     #: ``CompDiffFuzzer.run(resume_from=dir)`` / ``repro fuzz --resume``,
     #: reproducing the uninterrupted campaign's verdicts exactly.
     checkpoint_dir: str | None = None
-    #: Executions between periodic checkpoints (journal cadence).
+    #: Executions between periodic checkpoints (journal cadence); 0 or
+    #: less journals only the final checkpoint.
     checkpoint_every: int = 1000
 
 
@@ -130,9 +131,13 @@ class CompDiffFuzzer:
         options: FuzzerOptions | None = None,
         name: str = "target",
     ) -> None:
+        self.options = options or FuzzerOptions()
+        if self.options.compdiff_stride < 1:
+            raise EngineConfigError(
+                f"compdiff_stride must be >= 1, got {self.options.compdiff_stride}"
+            )
         if isinstance(program, str):
             program = load(program)
-        self.options = options or FuzzerOptions()
         self.name = name
         self.rng = random.Random(self.options.rng_seed)
         # B_fuzz: coverage-instrumented (optionally sanitized) build.
@@ -177,7 +182,6 @@ class CompDiffFuzzer:
         self._seen_diff_inputs: set[bytes] = set()
         self._program_fp = program_fingerprint(program)
         self._generated = 0
-        self._interrupted = False
         #: Coverage edges whose target block carries a static UB finding.
         self._flagged_edges: frozenset[int] = frozenset()
         if self.options.analysis_boost != 1.0:
@@ -235,11 +239,9 @@ class CompDiffFuzzer:
             for seed in self._initial_seeds:
                 self._execute_and_classify(seed, result, force_oracle=True)
                 self.pool.add(seed, flagged=self._trace_touches_flagged())
-        self._interrupted = False
-        previous_handler = self._install_sigint_handler()
-        try:
+        with DeferredInterrupt(enabled=self.options.checkpoint_dir is not None) as intr:
             while result.executions < self.options.max_executions:
-                if self._interrupted:
+                if intr.pending:
                     self._finalize(result)
                     self._checkpoint(result, force=True)
                     raise KeyboardInterrupt("campaign interrupted; checkpoint flushed")
@@ -260,8 +262,6 @@ class CompDiffFuzzer:
                 run_oracle = self._generated % self.options.compdiff_stride == 0
                 self._execute_and_classify(candidate, result, run_oracle)
                 self._checkpoint(result)
-        finally:
-            self._restore_sigint_handler(previous_handler)
         self._finalize(result)
         self._checkpoint(result, force=True)
         return result
@@ -376,27 +376,6 @@ class CompDiffFuzzer:
         if state.oracle_stats is not None and self.compdiff is not None:
             self.compdiff.stats.restore(state.oracle_stats)
         return state.result
-
-    def _install_sigint_handler(self):
-        """Defer SIGINT to the next iteration boundary so the flushed
-        checkpoint is always consistent.  Only active when checkpointing
-        is on, and only installable from the main thread."""
-        if self.options.checkpoint_dir is None:
-            return None
-        def _on_sigint(signum, frame):
-            self._interrupted = True
-        try:
-            return signal.signal(signal.SIGINT, _on_sigint)
-        except ValueError:  # not the main thread
-            return None
-
-    def _restore_sigint_handler(self, previous) -> None:
-        if previous is None:
-            return
-        try:
-            signal.signal(signal.SIGINT, previous)
-        except ValueError:
-            pass
 
     # -------------------------------------------------------------- helpers
 

@@ -12,7 +12,7 @@ On top of that, :func:`write_record`/:func:`read_record` define the
 record shape every checkpoint shares (the byte-input fuzzer in
 :mod:`repro.fuzzing.checkpoint`, the campaign kernel's state record in
 :mod:`repro.campaigns.kernel` for both seed-list campaigns and the
-sharded runtime's shard results, and the corpus DB's sidecar)::
+sharded runtime's shard results)::
 
     8 bytes   format magic (per record type)
     4 bytes   CRC32 (big-endian) over the payload

@@ -1,15 +1,16 @@
-"""Corpus salvage (``repro bank fsck``) tests.
+"""Bank maintenance tests: salvage (``repro bank fsck``) and ``repro bank merge``.
 
 Banks are crafted by hand here — fsck validates metadata consistency
 (keys, program files, manifest shape), not program semantics, so no
-engine run is needed.  Each test damages a healthy bank in one specific
-way, asserts strict loading rejects it (where it should), and asserts
-fsck moves exactly the broken parts into the ``corrupt/`` sidecar and
-leaves a bank that loads cleanly.
+engine run is needed.  Each salvage test damages a healthy bank in one
+specific way, asserts strict loading rejects it (where it should), and
+asserts fsck moves exactly the broken parts into the ``corrupt/``
+sidecar and leaves a bank that loads cleanly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -269,3 +270,33 @@ class TestCLI:
     def test_not_a_bank_exits_two(self, tmp_path, capsys):
         assert cli_main(["bank", "fsck", str(tmp_path / "void")]) == 2
         capsys.readouterr()
+
+    def test_unknown_kind_exits_two(self, gen_bank, capsys):
+        assert cli_main(["bank", "fsck", str(gen_bank), "--kind", "bogus"]) == 2
+        assert "unknown class kind 'bogus'" in capsys.readouterr().err
+
+
+class TestMerge:
+    def test_union_keeps_the_first_source_entry(self, gen_bank, tmp_path, capsys):
+        shared = _make_repro("beta")
+        other = CorpusBank(tmp_path / "other")
+        assert other.add(dataclasses.replace(shared, source="int main(void) { return 1; }\n"))
+        assert other.add(_make_repro("delta"))
+        dst = tmp_path / "merged"
+        assert cli_main(["bank", "merge", str(dst), str(gen_bank), str(other.root)]) == 0
+        assert capsys.readouterr().out == f"merged 4 new generative class(es) into {dst}\n"
+        merged = CorpusBank(dst)
+        assert merged.keys() == sorted({*CorpusBank(gen_bank).keys(), *other.keys()})
+        assert merged.get(shared.key) == shared
+
+    @pytest.mark.parametrize("into_existing", [True, False], ids=["dst", "sources"])
+    def test_mixed_kinds_exit_two(self, gen_bank, san_bank, tmp_path, capsys, into_existing):
+        if into_existing:
+            dst, sources = gen_bank, [san_bank]
+        else:
+            dst, sources = tmp_path / "merged", [gen_bank, san_bank]
+        before = sorted(p.read_bytes() for p in gen_bank.rglob("*") if p.is_file())
+        assert cli_main(["bank", "merge", str(dst), *map(str, sources)]) == 2
+        assert "cannot mix generative and sancheck banks" in capsys.readouterr().err
+        assert sorted(p.read_bytes() for p in gen_bank.rglob("*") if p.is_file()) == before
+        assert not (tmp_path / "merged").exists()

@@ -1,15 +1,13 @@
 """Golden byte-identity gate for the on-disk bank format.
 
 ``tests/golden/bank_digests.json`` pins, for every file under a bank
-directory, the sha256 of its bank-relative path plus its bytes.  Five
+directory, the sha256 of its bank-relative path plus its bytes.  Four
 banks are pinned, all built from the hand-made entries of
 ``tests/test_bank_fsck.py`` (no engine run):
 
-* ``generative`` and ``sancheck`` — the banks as ``add`` writes them;
-* ``generative-db`` and ``sancheck-db`` — the same banks after ``repro
-  db import`` into a fresh database and ``repro db export`` into an
-  empty directory, plus (under ``classes/<key>``) each class row the
-  import wrote: its kind, key, program fingerprint and record;
+* ``generative`` and ``sancheck`` — the banks as ``add`` writes them,
+  and again as ``repro bank merge`` writes them into an empty
+  directory;
 * ``generative-fsck`` and ``sancheck-fsck`` — each bank after ``repro
   bank fsck`` rewrote a manifest holding a duplicate key.
 
@@ -24,7 +22,6 @@ import hashlib
 import json
 import os
 import pathlib
-import sqlite3
 import tempfile
 
 import pytest
@@ -58,19 +55,6 @@ def tree_digests(root: pathlib.Path) -> dict[str, str]:
     return dict(sorted(digests.items()))
 
 
-def class_digests(db: pathlib.Path) -> dict[str, str]:
-    """sha256 of each class row of the corpus DB at *db*, by ``classes/<key>``."""
-    conn = sqlite3.connect(str(db))
-    try:
-        rows = conn.execute("SELECT kind, key, fingerprint, record FROM classes").fetchall()
-    finally:
-        conn.close()
-    return {
-        f"classes/{row[1]}": hashlib.sha256("\0".join(row).encode("utf-8")).hexdigest()
-        for row in sorted(rows)
-    }
-
-
 def build_banks(workdir: pathlib.Path) -> dict[str, dict[str, str]]:
     """Build every pinned bank under *workdir*; digests by bank name."""
     out = {}
@@ -81,10 +65,9 @@ def build_banks(workdir: pathlib.Path) -> dict[str, dict[str, str]]:
             assert bank.add(make(tag))
         out[kind] = tree_digests(root)
 
-        db, exported = workdir / f"{kind}.db", workdir / f"{kind}-db"
-        assert cli_main(["db", "import", str(db), str(root)]) == 0
-        assert cli_main(["db", "export", str(db), str(exported), "--kind", kind]) == 0
-        out[f"{kind}-db"] = {**tree_digests(exported), **class_digests(db)}
+        merged = workdir / f"{kind}-merged"
+        assert cli_main(["bank", "merge", str(merged), str(root)]) == 0
+        assert tree_digests(merged) == out[kind], f"bank merge drifted from {kind!r}"
 
         salvaged = workdir / f"{kind}-fsck"
         bank = bank_type(salvaged)

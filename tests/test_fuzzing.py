@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import EngineConfigError
 from repro.fuzzing import CompDiffFuzzer, CoverageMap, FuzzerOptions, MutationEngine, SeedPool
 from repro.fuzzing.mutators import MAX_INPUT_SIZE, build_dictionary
 from repro.targets import build_target
@@ -176,6 +177,10 @@ class TestCampaign:
         fuzzer = CompDiffFuzzer(GATED_TARGET, [b"M\x00xxxx"], options)
         result = fuzzer.run()
         assert result.oracle_executions <= result.executions // 5 + 2
+
+    def test_zero_oracle_stride_is_refused(self):
+        with pytest.raises(EngineConfigError, match="compdiff_stride"):
+            CompDiffFuzzer(GATED_TARGET, [b"M\x00xxxx"], FuzzerOptions(compdiff_stride=0))
 
     def test_compdiff_disabled(self):
         options = FuzzerOptions(max_executions=300, enable_compdiff=False, rng_seed=3)
