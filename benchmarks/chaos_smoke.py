@@ -41,7 +41,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.campaigns.runtime import CampaignRuntime, ShardPolicy
 from repro.generative.bank import CorpusBank
 from repro.generative.campaign import GenerativeCampaign, GenerativeOptions
-from repro.parallel.faults import ShardFaultPlan
+from repro.parallel.faults import FaultPlan
 from repro.sanval.bank import FindingBank
 from repro.sanval.campaign import SancheckCampaign, SancheckOptions
 
@@ -103,7 +103,7 @@ def main() -> int:
             f"{serial.banked_new} repros from {serial.generated} seeds",
         )
 
-        plan = ShardFaultPlan(once={1: "crash", 2: "hang", 3: "corrupt"})
+        plan = FaultPlan(once={1: "crash", 2: "hang", 3: "corrupt"})
         runtime, merged, merged_bytes = run_sharded(workdir, "faulted", plan)
         shards = runtime.stats.snapshot()["shards"]
         ok &= check(
@@ -134,7 +134,7 @@ def main() -> int:
             seed_deadline=8.0, max_seed_attempts=2, backoff_base=0.01, backoff_max=0.1
         )
         runtime, merged, merged_bytes = run_sharded(
-            workdir, "poison", ShardFaultPlan(poison={2: "crash"}), poison_policy
+            workdir, "poison", FaultPlan(poison={2: "crash"}), poison_policy
         )
         ledger = [(entry.seq, entry.label) for entry in runtime.quarantine]
         ok &= check(

@@ -115,7 +115,6 @@ class Campaign:
         options,
         bank=None,
         *,
-        engine: CompDiff | None = None,
         policy=None,
         fault_plan=None,
         seed_slice: tuple[int, int] | None = None,
@@ -133,12 +132,9 @@ class Campaign:
         self.skip_offsets = frozenset(skip_offsets)
         self.progress = progress
         self.interruptible = interruptible
-        self._owns_engine = engine is None
-        if engine is None:
-            engine = CompDiff(
-                workers=options.workers, policy=policy, fault_plan=fault_plan
-            )
-        self.engine = engine
+        self.engine = CompDiff(
+            workers=options.workers, policy=policy, fault_plan=fault_plan
+        )
 
     def __enter__(self):
         return self
@@ -147,9 +143,8 @@ class Campaign:
         self.close()
 
     def close(self) -> None:
-        """Shut down the engine's worker pool if this campaign owns it."""
-        if self._owns_engine:
-            self.engine.close()
+        """Shut down the engine's worker pool, if any."""
+        self.engine.close()
 
     # ------------------------------------------------------ subclass hooks
 

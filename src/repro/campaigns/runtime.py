@@ -50,9 +50,10 @@ the one a serial run would have banked first.  A key the target bank
 already holds (another campaign sharing the bank banked it) is a
 duplicate in the merge, as in a serial walk.  Invariant (pinned by
 ``tests/test_campaign_runtime.py`` and ``make chaos``): for any
-:class:`~repro.parallel.faults.ShardFaultPlan`, the merged corpus is
-byte-identical to a fault-free serial run, minus only the contributions
-of seeds the plan's ``poison`` entries drove into the ledger.
+:class:`~repro.parallel.faults.FaultPlan` keyed by seed offset, the
+merged corpus is byte-identical to a fault-free serial run, minus only
+the contributions of seeds the plan's ``poison`` entries drove into the
+ledger.
 
 Layout under the campaign root::
 
@@ -85,7 +86,7 @@ from repro.campaigns.kernel import (
 )
 from repro.campaigns.sigint import DeferredInterrupt
 from repro.errors import CheckpointError, EngineConfigError, ReproError
-from repro.parallel.faults import ShardFaultPlan, execute_shard_fault
+from repro.parallel.faults import FaultPlan, execute_shard_fault
 from repro.parallel.stats import EngineStats
 from repro.parallel.supervisor import QuarantineEntry, backoff_delay
 from repro.persist import atomic_write_json, write_record
@@ -180,7 +181,7 @@ def _shard_worker(
     hi: int,
     skip: frozenset[int],
     shard_dir: str,
-    fault_plan: ShardFaultPlan | None,
+    fault_plan: FaultPlan | None,
     attempts: dict[int, int],
 ) -> None:
     """Drive one shard's block to completion and persist its record.
@@ -271,7 +272,7 @@ class CampaignRuntime:
         root: str,
         shards: int,
         policy: ShardPolicy | None = None,
-        fault_plan: ShardFaultPlan | None = None,
+        fault_plan: FaultPlan | None = None,
         stats: EngineStats | None = None,
     ) -> None:
         if shards < 1:

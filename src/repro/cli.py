@@ -40,7 +40,7 @@ from repro.core.compdiff import CompDiff
 from repro.core.localize import localize
 from repro.core.normalize import OutputNormalizer
 from repro.core.report import make_report
-from repro.errors import ReproError
+from repro.errors import EngineConfigError, ReproError
 from repro.fuzzing import CompDiffFuzzer, FuzzerOptions
 from repro.vm import run_binary
 
@@ -78,14 +78,13 @@ def _select_impls(names: str | None):
 def cmd_check(args: argparse.Namespace) -> int:
     """`repro check`: differential-test one file; exit 1 on divergence."""
     source = open(args.file).read()
-    with CompDiff(
+    engine = CompDiff(
         implementations=_select_impls(args.impls),
         normalizer=OutputNormalizer.standard() if args.normalize else None,
-        workers=args.workers,
-    ) as engine:
-        outcome = engine.check_source(source, [_read_input(args)], name=args.file)
-        if args.stats:
-            print(engine.stats.render(), file=sys.stderr)
+    )
+    outcome = engine.check_source(source, [_read_input(args)], name=args.file)
+    if args.stats:
+        print(engine.stats.render(), file=sys.stderr)
     if not outcome.divergent:
         print("stable: all implementations agree")
         return 0
@@ -121,25 +120,24 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         rng_seed=args.seed,
         divergence_feedback=args.divergence_feedback,
         normalizer=OutputNormalizer.standard() if args.normalize else None,
-        workers=args.workers,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
     )
-    with CompDiffFuzzer(source, seeds, options, name=args.file) as fuzzer:
-        try:
-            result = fuzzer.run(resume_from=args.resume)
-        except KeyboardInterrupt:
-            if checkpoint_dir:
-                print(
-                    f"interrupted: checkpoint flushed to {checkpoint_dir}; "
-                    f"continue with `repro fuzz {args.file} --resume {checkpoint_dir}`",
-                    file=sys.stderr,
-                )
-            else:
-                print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
-            return 130
-        if args.stats and fuzzer.oracle_stats is not None:
-            print(fuzzer.oracle_stats.render(), file=sys.stderr)
+    fuzzer = CompDiffFuzzer(source, seeds, options, name=args.file)
+    try:
+        result = fuzzer.run(resume_from=args.resume)
+    except KeyboardInterrupt:
+        if checkpoint_dir:
+            print(
+                f"interrupted: checkpoint flushed to {checkpoint_dir}; "
+                f"continue with `repro fuzz {args.file} --resume {checkpoint_dir}`",
+                file=sys.stderr,
+            )
+        else:
+            print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
+        return 130
+    if args.stats and fuzzer.oracle_stats is not None:
+        print(fuzzer.oracle_stats.render(), file=sys.stderr)
     from repro.fuzzing import render_stats
 
     print(render_stats(result, name=args.file))
@@ -152,12 +150,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _shard_policy(args: argparse.Namespace):
+    """The shard policy the flags give; a flag left out keeps its default."""
     from repro.campaigns.runtime import ShardPolicy
 
-    return ShardPolicy(
-        seed_deadline=args.seed_deadline,
-        max_seed_attempts=args.max_seed_attempts,
-    )
+    given = {
+        field: getattr(args, field)
+        for field in ("seed_deadline", "max_seed_attempts")
+        if getattr(args, field) is not None
+    }
+    return ShardPolicy(**given)
 
 
 def _print_shard_summary(runtime) -> None:
@@ -180,6 +181,8 @@ def _run_campaign(args, command, campaign, options, bank_dir, resume, report) ->
     ``report(args, result, runtime, bank)`` (``runtime`` is None for a
     serial run) and returns the exit code.
     """
+    if args.shards < 1:
+        raise EngineConfigError(f"--shards must be >= 1, got {args.shards}")
     checkpoint_dir = options.checkpoint_dir
     if args.shards > 1 and not checkpoint_dir:
         print(
@@ -739,21 +742,22 @@ def cmd_targets(args: argparse.Namespace) -> int:
 
 
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
-    from repro.campaigns.runtime import ShardPolicy
-
+    # The two policy flags default to None so their defaults live in
+    # ShardPolicy alone (see _shard_policy); reading them here would
+    # import the campaign runtime whenever the parser is built.
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the seed range across this many "
                              "supervised worker processes (needs "
                              "--checkpoint-dir; merged corpus is "
                              "byte-identical to a serial run)")
-    parser.add_argument("--seed-deadline", type=float,
-                        default=ShardPolicy.seed_deadline,
+    parser.add_argument("--seed-deadline", type=float, default=None,
                         help="seconds a shard may sit on one seed before "
                              "it is declared hung and restarted "
-                             "(default: %(default)s)")
-    parser.add_argument("--max-seed-attempts", type=int, default=3,
+                             "(default: the shard policy's)")
+    parser.add_argument("--max-seed-attempts", type=int, default=None,
                         help="blamed failures before a seed is quarantined "
-                             "as poison and skipped")
+                             "as poison and skipped (default: the shard "
+                             "policy's)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -767,8 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("file")
     check.add_argument("--impls", help=f"comma list from: {', '.join(implementation_names())}")
     check.add_argument("--normalize", action="store_true", help="scrub timestamps (RQ5)")
-    check.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the differential executions")
     check.add_argument("--stats", action="store_true",
                        help="print execution metrics to stderr")
     _add_input_flags(check)
@@ -787,8 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--divergence-feedback", action="store_true")
     fuzz.add_argument("--normalize", action="store_true")
-    fuzz.add_argument("--workers", type=int, default=1,
-                      help="worker processes for the CompDiff oracle")
     fuzz.add_argument("--stats", action="store_true",
                       help="print oracle execution metrics to stderr")
     fuzz.add_argument("--checkpoint-dir", default=None,

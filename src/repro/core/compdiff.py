@@ -17,12 +17,12 @@ from repro.errors import EngineConfigError, ReproError
 from repro.minic import ast as minic_ast
 from repro.minic import load
 from repro.parallel.cache import CompileCache, compile_counted
-from repro.parallel.engine import BatchJob, ParallelEngine, ProgramPayload, ServerGroup
+from repro.parallel.engine import BatchJob, ParallelEngine
 from repro.parallel.faults import FaultPlan
 from repro.parallel.stats import EngineStats
 from repro.parallel.supervisor import SupervisorPolicy
-from repro.vm import ForkServer, LockstepExecutor
-from repro.vm.execution import ExecutionResult, Status, deadline_result
+from repro.vm import ForkServer
+from repro.vm.execution import ExecutionResult, deadline_result
 from repro.vm.machine import DEFAULT_FUEL
 
 #: RQ6: when only some binaries time out, re-run them with the threshold
@@ -120,8 +120,10 @@ class CompDiff:
     >>> outcome.divergent
     False
 
-    ``workers=1`` (the default) is the fully deterministic serial path.
-    ``workers=N`` fans the per-implementation executions out across a
+    Per-input oracle calls (:meth:`build` then :meth:`run_input`, the
+    fuzzer's path) always run in this process, back to back through the
+    k fork servers.  ``workers=N`` scatters whole-program checks
+    (:meth:`check`, :meth:`check_source`, :meth:`check_batch`) across a
     persistent worker pool (:mod:`repro.parallel`) with byte-identical
     verdicts; call :meth:`close` (or use the engine as a context manager)
     to shut the pool down.  ``compile_cache`` memoizes compilation by
@@ -213,9 +215,7 @@ class CompDiff:
                 f"fewer than two implementations can build {name or 'program'!r}: "
                 f"{errors}"
             )
-        if self._engine is not None:
-            return ServerGroup(servers, ProgramPayload.from_program(program, name=name))
-        return ServerGroup(servers, executor=LockstepExecutor(servers))
+        return servers
 
     def build_source(self, source: str, name: str = "") -> dict[str, ForkServer]:
         return self.build(load(source), name=name)
@@ -223,25 +223,20 @@ class CompDiff:
     # --------------------------------------------------------------- running
 
     def run_input(self, servers: dict[str, ForkServer], input_bytes: bytes) -> DiffResult:
-        """Run one input on every binary and cross-check outputs (§3.1 step 4)."""
-        if self._engine is not None and isinstance(servers, ServerGroup):
-            if servers.payload is not None:
-                results = self._engine.run_one(servers.payload, input_bytes)
-                return self._diff_from_results(input_bytes, results)
-        executor = servers.executor if isinstance(servers, ServerGroup) else None
-        if executor is None:
-            # Plain dict of servers (caller-built): drive them the same way.
-            executor = LockstepExecutor(servers)
+        """Run one input on every binary and cross-check outputs (§3.1 step 4).
 
-        def degrade(name: str, exc: ReproError) -> ExecutionResult:
-            # Internal VM failure on this implementation only: degrade
-            # the cross-check rather than killing the campaign.
-            return deadline_result(name, f"execution failed: {exc}")
-
-        results = executor.run_input(input_bytes, on_error=degrade)
+        An implementation whose run raises a :class:`ReproError` (an
+        internal VM failure) is dropped from this input's cross-check
+        (k-1 graceful degradation) instead of aborting the campaign.
+        """
+        results: dict[str, ExecutionResult] = {}
         exec_counts = self.stats.exec_counts
-        for name, result in results.items():
-            if not result.deadline_expired:
+        for name, server in servers.items():
+            try:
+                results[name] = server.run(input_bytes)
+            except ReproError as exc:
+                results[name] = deadline_result(name, f"execution failed: {exc}")
+            else:
                 exec_counts[name] += 1
         self._retry_partial_timeouts(servers, input_bytes, results)
         self.stats.inputs_checked += 1
@@ -318,10 +313,6 @@ class CompDiff:
                 results[name] = servers[name].run(input_bytes, fuel=fuel)
                 self.stats.exec_counts[name] += 1
                 self.stats.timeout_retries += 1
-
-    @staticmethod
-    def _checksum(observation: tuple) -> int:
-        return observation_checksum(observation)
 
     # ------------------------------------------------------------ one-shot API
 

@@ -97,13 +97,11 @@ def evaluate_realworld(
     include_sanitizers: bool = True,
     include_triage: bool = False,
     include_bisection: bool = False,
-    workers: int = 1,
     compile_cache: CompileCache | None = None,
 ) -> RealWorldEvaluation:
     """Run the §4.3 experiment (scaled by *max_executions* per campaign).
 
-    ``workers=N`` fans each campaign's oracle executions across a worker
-    pool; one compile cache is shared by every campaign so each target's
+    One compile cache is shared by every campaign so each target's
     binaries are built once regardless of how many tool campaigns run.
     ``include_triage=True`` runs the UB oracle once per target and labels
     every divergence-triggering input with a Table 5 category.
@@ -123,17 +121,16 @@ def evaluate_realworld(
             compdiff_stride=compdiff_stride,
             fuel=fuel,
             normalizer=normalizer,
-            workers=workers,
             compile_cache=compile_cache,
         )
-        with CompDiffFuzzer(target.source, target.seeds, options, name=target.name) as fuzzer:
-            campaign = fuzzer.run()
-            if not evaluation.implementations:
-                evaluation.implementations = fuzzer.implementations
-            if fuzzer.oracle_stats is not None:
-                if evaluation.oracle_stats is None:
-                    evaluation.oracle_stats = EngineStats()
-                evaluation.oracle_stats.merge(fuzzer.oracle_stats)
+        fuzzer = CompDiffFuzzer(target.source, target.seeds, options, name=target.name)
+        campaign = fuzzer.run()
+        if not evaluation.implementations:
+            evaluation.implementations = fuzzer.implementations
+        if fuzzer.oracle_stats is not None:
+            if evaluation.oracle_stats is None:
+                evaluation.oracle_stats = EngineStats()
+            evaluation.oracle_stats.merge(fuzzer.oracle_stats)
         outcome = TargetOutcome(target=target, campaign=campaign)
         if include_triage and campaign.diffs:
             program = load(target.source)
@@ -163,10 +160,9 @@ def evaluate_realworld(
                     sanitizer=sanitizer,
                     compile_cache=compile_cache,
                 )
-                with CompDiffFuzzer(
+                san_campaign = CompDiffFuzzer(
                     target.source, target.seeds, san_options, name=target.name
-                ) as san_fuzzer:
-                    san_campaign = san_fuzzer.run()
+                ).run()
                 for site in san_campaign.sites_sanitizer:
                     outcome.sanitizer_hits.setdefault(site, set()).add(sanitizer)
         evaluation.outcomes.append(outcome)

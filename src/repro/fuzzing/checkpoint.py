@@ -73,8 +73,8 @@ def options_digest(options, implementation_names: tuple[str, ...]) -> str:
 
     ``max_executions`` is deliberately excluded: it is a budget, not a
     behavior — resuming with a larger budget is the supported way to
-    extend a finished campaign.  ``workers`` and ``compile_cache`` are
-    excluded because they are verdict-transparent by construction.
+    extend a finished campaign.  ``compile_cache`` is excluded because it
+    is verdict-transparent by construction.
     """
     normalizer = (
         type(options.normalizer).__name__ if options.normalizer is not None else "none"

@@ -67,11 +67,6 @@ class FuzzerOptions:
     #: back into the fuzzer — an input that produced a *new* divergence
     #: signature joins the seed pool even without new edge coverage.
     divergence_feedback: bool = False
-    #: Fan each oracle input's k executions across a worker pool
-    #: (``repro.parallel``).  1 = the deterministic serial path.  Verdicts
-    #: are identical either way; the pool pays off once per-execution cost
-    #: (fuel, program size) outweighs the dispatch overhead.
-    workers: int = 1
     #: Content-addressed compile cache shared across campaigns, so
     #: repeated builds of the same target skip the compiler entirely.
     compile_cache: CompileCache | None = None
@@ -167,7 +162,6 @@ class CompDiffFuzzer:
                 implementations=self.options.implementations,
                 normalizer=self.options.normalizer or OutputNormalizer(),
                 fuel=self.options.fuel,
-                workers=self.options.workers,
                 compile_cache=cache,
             )
             self.diff_servers = self.compdiff.build(program, name=name)
@@ -378,17 +372,6 @@ class CompDiffFuzzer:
         return state.result
 
     # -------------------------------------------------------------- helpers
-
-    def close(self) -> None:
-        """Release the oracle's worker pool, if any (idempotent)."""
-        if self.compdiff is not None:
-            self.compdiff.close()
-
-    def __enter__(self) -> "CompDiffFuzzer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def implementations(self) -> tuple[str, ...]:

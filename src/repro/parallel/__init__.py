@@ -6,9 +6,9 @@ compilations per program — the wall-clock hot path of every campaign
 package amortizes both costs:
 
 * :class:`~repro.parallel.engine.ParallelEngine` — a persistent
-  ``multiprocessing`` worker pool; each worker holds warm
-  :class:`~repro.vm.forkserver.ForkServer` instances per
-  ``(program, implementation)`` and a local compile cache.
+  ``multiprocessing`` worker pool serving whole-program checks; each
+  worker holds warm :class:`~repro.vm.forkserver.ForkServer` instances
+  per ``(program, implementation)`` and a local compile cache.
 * :class:`~repro.parallel.cache.CompileCache` — content-addressed
   ``(source fingerprint, implementation fingerprint)`` → binary cache
   with LRU eviction and hit/miss accounting.
@@ -16,12 +16,13 @@ package amortizes both costs:
   metrics: per-implementation exec counts, cache hit rate, timeout-retry
   counts, and batch latency percentiles.
 
-Users normally reach all of this through the ``workers=N`` knob on
-:class:`repro.core.compdiff.CompDiff`,
-:class:`repro.fuzzing.FuzzerOptions`, or
-:func:`repro.evaluation.evaluate_juliet`; ``workers=1`` (the default)
-preserves the fully deterministic single-process path.  See
-``docs/PARALLELISM.md`` for the architecture.
+Users normally reach the pool through the ``workers=N`` knob on
+:class:`repro.core.compdiff.CompDiff` (its program checks),
+:func:`repro.evaluation.evaluate_juliet`, and the ``generate`` and
+``sancheck`` campaigns; ``workers=1`` (the default) preserves the fully
+deterministic single-process path.  Per-input oracle calls (the
+fuzzer's) always run in-process.  See ``docs/PARALLELISM.md`` for the
+architecture.
 """
 
 from repro.parallel.cache import (
@@ -35,7 +36,6 @@ from repro.parallel.engine import (
     BatchJob,
     ParallelEngine,
     ProgramPayload,
-    ServerGroup,
 )
 from repro.parallel.faults import FaultPlan
 from repro.parallel.stats import EngineStats
@@ -54,7 +54,6 @@ __all__ = [
     "ParallelEngine",
     "ProgramPayload",
     "QuarantineEntry",
-    "ServerGroup",
     "SupervisedPool",
     "SupervisorPolicy",
     "cache_key",

@@ -2,8 +2,10 @@
 
 The serial :class:`~repro.core.compdiff.CompDiff` runs the ``k``
 per-implementation executions of every input back to back in one
-process.  :class:`ParallelEngine` fans that work out across a persistent
-``multiprocessing`` worker pool:
+process.  :class:`ParallelEngine` fans whole-program checks (a batch of
+``(program, inputs)`` jobs) out across a persistent ``multiprocessing``
+worker pool; a single input's ``k`` executions never come here, because
+shipping each one to the pool costs more than running it in-process:
 
 * each worker process keeps **warm state** — a content-addressed
   :class:`~repro.parallel.cache.CompileCache` plus a registry of live
@@ -76,34 +78,13 @@ class ProgramPayload:
     name: str = ""
 
     @staticmethod
-    def from_program(
-        program: minic_ast.Program | str, name: str = "", key: str | None = None
-    ) -> "ProgramPayload":
+    def from_program(program: minic_ast.Program | str, name: str = "") -> "ProgramPayload":
         from repro.parallel.cache import program_fingerprint
 
-        fp = key if key is not None else program_fingerprint(program)
+        fp = program_fingerprint(program)
         if isinstance(program, str):
             return ProgramPayload(key=fp, kind="src", blob=program.encode("utf-8"), name=name)
         return ProgramPayload(key=fp, kind="ast", blob=pickle.dumps(program), name=name)
-
-
-class ServerGroup(dict):
-    """``CompDiff.build()`` result: a plain name→ForkServer mapping (fully
-    usable as a dict) plus routing state for the oracle's fast paths — in
-    parallel mode the payload the engine needs to route executions of this
-    program to the worker pool, and in serial mode the
-    :class:`~repro.vm.lockstep.LockstepExecutor` that drives all k
-    implementations from their shared decoded instruction tables."""
-
-    def __init__(
-        self,
-        servers: dict[str, ForkServer],
-        payload: ProgramPayload | None = None,
-        executor=None,
-    ) -> None:
-        super().__init__(servers)
-        self.payload = payload
-        self.executor = executor
 
 
 @dataclass(frozen=True)
@@ -373,15 +354,6 @@ class ParallelEngine:
         for job in jobs:
             self.stats.inputs_checked += len(job.inputs)
         return ordered
-
-    def run_one(self, payload: ProgramPayload, input_bytes: bytes) -> dict[str, ExecutionResult]:
-        """Fan one input's k executions out across the pool."""
-        job = BatchJob.__new__(BatchJob)
-        job.program = ""
-        job.inputs = [input_bytes]
-        job.name = payload.name
-        job.payload = payload
-        return self.run_batch([job])[0][0]
 
     # -------------------------------------------------------------- internals
 

@@ -16,6 +16,10 @@ plan only faults a task's *first* attempt, modelling transient faults the
 supervisor must recover from; ``poison`` entries fault every attempt,
 modelling inputs that deterministically kill workers and must end up
 quarantined.
+
+The sharded campaign runtime (:mod:`repro.campaigns.runtime`) takes the
+same :class:`FaultPlan`, keyed by global seed offset instead of task
+``seq``, and carries its decisions out with :func:`execute_shard_fault`.
 """
 
 from __future__ import annotations
@@ -43,31 +47,37 @@ CORRUPT_CRC_MASK = 0x5A5A5A5A
 class FaultPlan:
     """A seeded schedule of injectable worker faults.
 
-    ``crash``/``hang``/``corrupt`` are per-task probabilities evaluated on
-    the first attempt only (transient faults).  ``poison`` maps a task
-    ``seq`` to a fault kind injected on *every* attempt — the quarantine
-    path's test vector.
+    A key is a pool task's ``seq``, or a campaign seed offset when the
+    plan drives the sharded runtime.  ``crash``/``hang``/``corrupt`` are
+    per-key probabilities evaluated on the first attempt only (transient
+    faults).  ``once`` maps a key to a fault kind injected
+    deterministically on its first attempt (the reproducible test vector
+    for each recovery path).  ``poison`` maps a key to a fault kind
+    injected on *every* attempt — the quarantine path's test vector.
     """
 
     seed: int = 0
     crash: float = 0.0
     hang: float = 0.0
     corrupt: float = 0.0
-    #: task seq -> fault kind, injected on every attempt (poison tasks).
+    #: key -> fault kind, injected on the first attempt only.
+    once: dict[int, str] = field(default_factory=dict)
+    #: key -> fault kind, injected on every attempt (poison tasks/seeds).
     poison: dict[int, str] = field(default_factory=dict)
-    #: Attempts (per task) that rate-based faults may hit; 1 = first only.
+    #: Attempts (per key) that rate-based and ``once`` faults may hit;
+    #: 1 = first only.
     max_faulted_attempts: int = 1
 
     def __post_init__(self) -> None:
         total = self.crash + self.hang + self.corrupt
         if not 0.0 <= total <= 1.0:
             raise ValueError(f"fault rates must sum to [0, 1], got {total}")
-        for kind in self.poison.values():
+        for kind in list(self.once.values()) + list(self.poison.values()):
             if kind not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {kind!r}")
 
     def decide(self, seq: int, attempt: int) -> str | None:
-        """The fault (if any) to inject into attempt *attempt* of task *seq*.
+        """The fault (if any) to inject into attempt *attempt* of key *seq*.
 
         Pure and order-independent: derived from a private RNG keyed by
         ``(seed, seq, attempt)``.
@@ -76,6 +86,8 @@ class FaultPlan:
             return self.poison[seq]
         if attempt >= self.max_faulted_attempts:
             return None
+        if seq in self.once:
+            return self.once[seq]
         roll = random.Random(f"faultplan:{self.seed}:{seq}:{attempt}").random()
         if roll < self.crash:
             return CRASH
@@ -102,74 +114,19 @@ def execute_fault(kind: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# Campaign-layer (shard) fault injection
+# Campaign-layer (shard) fault injection.  A FaultPlan keyed by global seed
+# offset strikes a shard worker at the seed boundary, before the seed runs,
+# so the shard's checkpoint and bank are always boundary-consistent and
+# recovery is exactly a replay.  The invariant the sharded runtime is held
+# to (tests/test_campaign_runtime.py, `make chaos`): with any plan active,
+# the merged corpus is byte-identical to a fault-free run, except seeds a
+# `poison` entry drives into the quarantine ledger.
 # --------------------------------------------------------------------------
 
 #: Exit code of a worker killed by an injected shard crash.
 SHARD_CRASH_EXIT = 70
 #: Exit code of a worker that corrupted its own checkpoint and died.
 SHARD_CORRUPT_EXIT = 71
-
-
-@dataclass
-class ShardFaultPlan:
-    """A seeded schedule of shard-level campaign faults.
-
-    The shard analogue of :class:`FaultPlan`, one layer up: decisions are
-    keyed by the campaign's *global seed offset* instead of a task
-    ``seq``, and faults strike the shard worker process at the seed
-    boundary — before the seed is processed — so the shard's checkpoint
-    and bank are always boundary-consistent and recovery is exactly a
-    replay.  The invariant the sharded runtime is held to
-    (``tests/test_campaign_runtime.py``, ``make chaos``): with any plan
-    active, the *merged* corpus is byte-identical to a fault-free run —
-    except seeds a ``poison`` entry drives into the quarantine ledger,
-    which are skipped by construction.
-
-    ``crash``/``hang``/``corrupt`` are per-seed probabilities evaluated
-    on the first attempt only.  ``once`` maps a seed offset to a fault
-    kind injected deterministically on that offset's first attempt (the
-    reproducible test vector for each recovery path).  ``poison`` maps a
-    seed offset to a fault kind injected on *every* attempt — the
-    quarantine ledger's test vector.
-    """
-
-    seed: int = 0
-    crash: float = 0.0
-    hang: float = 0.0
-    corrupt: float = 0.0
-    #: seed offset -> fault kind, injected on the first attempt only.
-    once: dict[int, str] = field(default_factory=dict)
-    #: seed offset -> fault kind, injected on every attempt (poison seeds).
-    poison: dict[int, str] = field(default_factory=dict)
-    #: Attempts (per seed) that rate-based/once faults may hit; 1 = first.
-    max_faulted_attempts: int = 1
-
-    def __post_init__(self) -> None:
-        total = self.crash + self.hang + self.corrupt
-        if not 0.0 <= total <= 1.0:
-            raise ValueError(f"fault rates must sum to [0, 1], got {total}")
-        for kind in list(self.once.values()) + list(self.poison.values()):
-            if kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {kind!r}")
-
-    def decide(self, offset: int, attempt: int) -> str | None:
-        """The fault (if any) to inject into attempt *attempt* of seed
-        offset *offset*.  Pure and order-independent."""
-        if offset in self.poison:
-            return self.poison[offset]
-        if attempt >= self.max_faulted_attempts:
-            return None
-        if offset in self.once:
-            return self.once[offset]
-        roll = random.Random(f"shardfault:{self.seed}:{offset}:{attempt}").random()
-        if roll < self.crash:
-            return CRASH
-        if roll < self.crash + self.hang:
-            return HANG
-        if roll < self.crash + self.hang + self.corrupt:
-            return CORRUPT
-        return None
 
 
 def execute_shard_fault(kind: str, checkpoint_path: str | None = None) -> None:

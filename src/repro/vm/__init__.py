@@ -11,7 +11,6 @@ from repro.vm.execution import ExecutionResult, Status, run_binary
 from repro.vm.forkserver import ForkServer
 from repro.vm.lockstep import (
     DecodedProgram,
-    LockstepExecutor,
     LockstepMachine,
     run_lockstep,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "ExecutionResult",
     "ForkServer",
     "ImageLayout",
-    "LockstepExecutor",
     "LockstepMachine",
     "Machine",
     "Memory",

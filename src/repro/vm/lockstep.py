@@ -11,8 +11,10 @@ step callables have operand register indices, frame-slot offsets, global
 addresses, and integer-op semantics pre-resolved, plus a
 ``block_offsets`` map from labels to flat indices.  A
 :class:`LockstepMachine` then runs any number of inputs from the decoded
-form, and a :class:`LockstepExecutor` drives all k implementations of
-one program over an input from their decoded tables.
+form; each :class:`~repro.vm.forkserver.ForkServer` decodes its binary
+once and runs every input this way, and the oracle
+(:meth:`repro.core.compdiff.CompDiff.run_input`) drives one input
+through its k servers back to back.
 
 Byte-identity with the reference interpreter is the contract, not a
 goal: specialized steps are only emitted for unsanitized binaries and
@@ -41,10 +43,10 @@ from __future__ import annotations
 
 import operator
 import struct
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.compiler.binary import CompiledBinary
-from repro.errors import ReproError, VMError
+from repro.errors import VMError
 from repro.ir.instructions import (
     AddrGlobal,
     AddrSlot,
@@ -710,50 +712,3 @@ def run_lockstep(
     )
     exit_code, trap, sanitizer_stop = machine.run()
     return collect_result(machine, exit_code, trap, sanitizer_stop)
-
-
-class LockstepExecutor:
-    """Drives all k implementations of one program over shared decoded IR.
-
-    Built over the per-implementation ForkServers so each binary's
-    :class:`DecodedProgram` (and ImageLayout) is decoded exactly once and
-    reused for every input — the k independent ``Machine.run`` IR walks
-    of the serial oracle collapse into k table executions.
-    """
-
-    def __init__(self, servers: Mapping[str, "ForkServer"]) -> None:  # noqa: F821
-        self._servers = dict(servers)
-
-    @property
-    def servers(self):
-        return self._servers
-
-    def decode_all(self) -> int:
-        """Eagerly decode every implementation; returns total table size."""
-        return sum(
-            server.decoded().instruction_count for server in self._servers.values()
-        )
-
-    def run_input(
-        self,
-        input_bytes: bytes,
-        fuel: int | None = None,
-        on_error=None,
-    ) -> dict[str, ExecutionResult]:
-        """Run *input_bytes* through every implementation in lockstep.
-
-        ``on_error(name, exc) -> ExecutionResult | None`` lets the caller
-        degrade a failing implementation (the oracle's k-1 policy) instead
-        of aborting the sweep; without it the first error propagates.
-        """
-        results: dict[str, ExecutionResult] = {}
-        for name, server in self._servers.items():
-            try:
-                results[name] = server.run(input_bytes, fuel=fuel)
-            except ReproError as err:
-                if on_error is None:
-                    raise
-                replacement = on_error(name, err)
-                if replacement is not None:
-                    results[name] = replacement
-        return results

@@ -29,7 +29,7 @@ from repro.campaigns.runtime import (
 from repro.errors import CheckpointError, EngineConfigError
 from repro.generative.bank import CorpusBank
 from repro.generative.campaign import GenerativeCampaign, GenerativeOptions
-from repro.parallel.faults import ShardFaultPlan
+from repro.parallel.faults import FaultPlan
 from repro.sanval.bank import FindingBank
 from repro.sanval.campaign import SancheckCampaign, SancheckOptions
 
@@ -125,28 +125,29 @@ def test_shard_policy_validation():
 
 def test_default_seed_deadline_outlasts_a_slow_seed():
     # ub generator seed 5 takes 169-198 s serially; a slow seed is not a
-    # hang.  The CLI reads the same default, so it lives in one place.
-    from repro.cli import build_parser
+    # hang.  The CLI keeps ShardPolicy's defaults, so they live in one place.
+    from repro.cli import _shard_policy, build_parser
 
     assert ShardPolicy().seed_deadline >= 3 * 198
     for command in (["generate", "--corpus", "c"], ["sancheck", "--bank", "b"]):
-        args = build_parser().parse_args(command)
-        assert args.seed_deadline == ShardPolicy().seed_deadline
+        policy = _shard_policy(build_parser().parse_args(command))
+        assert policy.seed_deadline == ShardPolicy().seed_deadline
+        assert policy.max_seed_attempts == ShardPolicy().max_seed_attempts
 
 
 def test_shard_fault_plan_is_pure_and_validates():
-    plan = ShardFaultPlan(seed=3, crash=0.5, hang=0.25)
+    plan = FaultPlan(seed=3, crash=0.5, hang=0.25)
     decisions = [plan.decide(offset, 0) for offset in range(50)]
     assert decisions == [plan.decide(offset, 0) for offset in range(50)]
     assert all(plan.decide(offset, 1) is None for offset in range(50))
-    once = ShardFaultPlan(once={4: "hang"})
+    once = FaultPlan(once={4: "hang"})
     assert once.decide(4, 0) == "hang" and once.decide(4, 1) is None
-    poison = ShardFaultPlan(poison={4: "crash"})
+    poison = FaultPlan(poison={4: "crash"})
     assert all(poison.decide(4, attempt) == "crash" for attempt in range(5))
     with pytest.raises(ValueError):
-        ShardFaultPlan(crash=0.9, hang=0.9)
+        FaultPlan(crash=0.9, hang=0.9)
     with pytest.raises(ValueError):
-        ShardFaultPlan(once={1: "meteor"})
+        FaultPlan(once={1: "meteor"})
 
 
 # ------------------------------------------------- byte-identity contract
@@ -184,7 +185,7 @@ def test_crash_and_corrupt_faults_converge_to_serial(serial, tmp_path):
     serial_result, serial_bytes = serial
     # Crash shard 0 at its second seed; corrupt shard 1's checkpoint at
     # its second seed (exercises the wipe-and-replay self-heal).
-    plan = ShardFaultPlan(once={1: "crash", 3: "corrupt"})
+    plan = FaultPlan(once={1: "crash", 3: "corrupt"})
     runtime, merged, merged_bytes = _run_sharded(tmp_path, fault_plan=plan)
     assert merged_bytes == serial_bytes
     assert _gen_signature(merged) == _gen_signature(serial_result)
@@ -197,7 +198,7 @@ def test_hung_shard_is_killed_and_replayed(serial, tmp_path):
     # The injected hang sleeps HANG_SECONDS (600 s); keep the deadline
     # far above honest per-seed wall time on a loaded machine so only
     # the injected hang can trip the watchdog.
-    plan = ShardFaultPlan(once={1: "hang"})
+    plan = FaultPlan(once={1: "hang"})
     policy = ShardPolicy(seed_deadline=30.0, backoff_base=0.01, backoff_max=0.05)
     runtime, merged, merged_bytes = _run_sharded(tmp_path, policy=policy, fault_plan=plan)
     assert merged_bytes == serial_bytes
@@ -207,7 +208,7 @@ def test_hung_shard_is_killed_and_replayed(serial, tmp_path):
 
 def test_exhausted_shard_range_is_adopted_in_process(serial, tmp_path):
     serial_result, serial_bytes = serial
-    plan = ShardFaultPlan(once={0: "crash"})
+    plan = FaultPlan(once={0: "crash"})
     policy = ShardPolicy(
         seed_deadline=30.0, max_shard_restarts=0, backoff_base=0.01, backoff_max=0.05
     )
@@ -223,7 +224,7 @@ def test_exhausted_shard_range_is_adopted_in_process(serial, tmp_path):
 
 def test_poison_seed_lands_in_the_ledger_and_campaign_completes(serial, tmp_path):
     serial_result, serial_bytes = serial
-    plan = ShardFaultPlan(poison={2: "crash"})
+    plan = FaultPlan(poison={2: "crash"})
     policy = ShardPolicy(
         seed_deadline=30.0, max_seed_attempts=2, backoff_base=0.01, backoff_max=0.05
     )

@@ -74,10 +74,10 @@ def _signature(result):
 
 
 def _run_campaign(target, options, resume_from=None):
-    with CompDiffFuzzer(target.source, target.seeds, options, name=target.name) as fuzzer:
-        result = fuzzer.run(resume_from=resume_from)
-        stats = fuzzer.oracle_stats
-        return result, (stats.exec_counts, stats.inputs_checked)
+    fuzzer = CompDiffFuzzer(target.source, target.seeds, options, name=target.name)
+    result = fuzzer.run(resume_from=resume_from)
+    stats = fuzzer.oracle_stats
+    return result, (stats.exec_counts, stats.inputs_checked)
 
 
 @pytest.fixture(scope="module")
@@ -114,19 +114,19 @@ def test_sigint_flushes_consistent_checkpoint(target, uninterrupted):
     expected_signature, _ = uninterrupted
     with tempfile.TemporaryDirectory() as ckdir:
         options = _options(checkpoint_dir=ckdir, checkpoint_every=50)
-        with CompDiffFuzzer(target.source, target.seeds, options, name=target.name) as fuzzer:
-            original_run = fuzzer.fuzz_server.run
-            calls = {"n": 0}
+        fuzzer = CompDiffFuzzer(target.source, target.seeds, options, name=target.name)
+        original_run = fuzzer.fuzz_server.run
+        calls = {"n": 0}
 
-            def interrupting_run(data, **kwargs):
-                calls["n"] += 1
-                if calls["n"] == TOTAL_EXECUTIONS // 2:
-                    signal.raise_signal(signal.SIGINT)
-                return original_run(data, **kwargs)
+        def interrupting_run(data, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == TOTAL_EXECUTIONS // 2:
+                signal.raise_signal(signal.SIGINT)
+            return original_run(data, **kwargs)
 
-            fuzzer.fuzz_server.run = interrupting_run
-            with pytest.raises(KeyboardInterrupt):
-                fuzzer.run()
+        fuzzer.fuzz_server.run = interrupting_run
+        with pytest.raises(KeyboardInterrupt):
+            fuzzer.run()
         flushed = load_checkpoint(ckdir)
         assert 0 < flushed.result.executions < TOTAL_EXECUTIONS
         resumed, _ = _run_campaign(
@@ -214,9 +214,9 @@ def test_cross_program_resume_is_refused(target):
         )
         other = build_all_targets()[1]
         options = _options(checkpoint_dir=ckdir)
-        with CompDiffFuzzer(other.source, other.seeds, options, name=other.name) as fuzzer:
-            with pytest.raises(CheckpointError, match="different program"):
-                fuzzer.run(resume_from=ckdir)
+        fuzzer = CompDiffFuzzer(other.source, other.seeds, options, name=other.name)
+        with pytest.raises(CheckpointError, match="different program"):
+            fuzzer.run(resume_from=ckdir)
 
 
 def test_option_drift_is_refused_but_budget_extension_is_not(target):
@@ -225,9 +225,9 @@ def test_option_drift_is_refused_but_budget_extension_is_not(target):
             target, _options(max_executions=30, checkpoint_dir=ckdir, checkpoint_every=10)
         )
         drifted = _options(rng_seed=RNG_SEED + 1, checkpoint_dir=ckdir)
-        with CompDiffFuzzer(target.source, target.seeds, drifted, name=target.name) as fuzzer:
-            with pytest.raises(CheckpointError, match="different"):
-                fuzzer.run(resume_from=ckdir)
+        fuzzer = CompDiffFuzzer(target.source, target.seeds, drifted, name=target.name)
+        with pytest.raises(CheckpointError, match="different"):
+            fuzzer.run(resume_from=ckdir)
         # max_executions is a budget, not a behavior: extending it resumes.
         extended = _options(max_executions=60, checkpoint_dir=ckdir, checkpoint_every=10)
         result, _ = _run_campaign(target, extended, resume_from=ckdir)

@@ -39,7 +39,13 @@ INVOCATIONS = {
     ],
     # EngineConfigError from the oracle engine.
     "zero-workers": lambda tmp: [
-        "fuzz", _write(tmp / "ok.c", STABLE), "--workers", "0"
+        "generate", "--seed", "0", "--budget", "1", "--no-reduce",
+        "--corpus", str(tmp / "corpus"), "--workers", "0",
+    ],
+    # EngineConfigError from the CLI's campaign runner.
+    "zero-shards": lambda tmp: [
+        "generate", "--seed", "0", "--budget", "1", "--no-reduce",
+        "--corpus", str(tmp / "corpus"), "--shards", "0",
     ],
     # EngineConfigError from the fuzzer and the campaign kernel.
     "zero-stride": lambda tmp: [
@@ -67,7 +73,9 @@ def test_building_the_parser_imports_no_campaign_package():
         "import sys\n"
         "from repro.cli import build_parser\n"
         "build_parser()\n"
-        "print(sorted(m for m in ('repro.generative', 'repro.sanval') if m in sys.modules))\n"
+        "print(sorted(m for m in ('repro.generative', 'repro.sanval',\n"
+        "                         'repro.campaigns.runtime', 'repro.campaigns.kernel')\n"
+        "             if m in sys.modules))\n"
     )
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

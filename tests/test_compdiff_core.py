@@ -13,6 +13,7 @@ from repro.core.report import make_report
 from repro.core.subsets import evaluate_subsets
 from repro.core.triage import signature_of, triage
 from repro.compiler import DEFAULT_IMPLEMENTATIONS, implementation
+from repro.errors import ReproError
 
 
 class TestMurmur3:
@@ -129,6 +130,30 @@ class TestCompDiffRunner:
         diff = engine.run_input(servers, b"abc")
         assert not diff.divergent
         assert all(obs[2] == 3 for obs in diff.observations.values())
+
+    def test_run_input_runs_every_implementation(self):
+        src = 'int main(void){ printf("%u", input_size() * 2u); return 0; }'
+        engine = CompDiff()
+        diff = engine.run_input(engine.build_source(src), b"abc")
+        assert list(diff.results) == [c.name for c in DEFAULT_IMPLEMENTATIONS]
+        assert all(r.stdout == b"6" for r in diff.results.values())
+        assert engine.stats.exec_counts == {c.name: 1 for c in DEFAULT_IMPLEMENTATIONS}
+
+    def test_run_input_degrades_a_raising_implementation_to_k_minus_1(self):
+        engine = CompDiff()
+        servers = engine.build_source(STABLE)
+
+        def explode(input_bytes, fuel=None, coverage=None):
+            raise ReproError("injected")
+
+        servers["gcc-O2"].run = explode
+        diff = engine.run_input(servers, b"abc")
+        assert diff.dropped == ("gcc-O2",)
+        assert diff.results["gcc-O2"].deadline_expired
+        assert "injected" in diff.results["gcc-O2"].stderr.decode()
+        assert set(diff.checksums) == {c.name for c in DEFAULT_IMPLEMENTATIONS} - {"gcc-O2"}
+        assert not diff.divergent
+        assert engine.stats.degraded == {"gcc-O2": 1}
 
     def test_groups_partition_all_implementations(self):
         engine = CompDiff()

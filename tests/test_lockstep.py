@@ -12,7 +12,7 @@ implementations), over the same corpus built as the coverage-instrumented
 fuzz binary B_fuzz (where the AFL edge trace must match too), and over
 every terminal status class.  They also exercise the ForkServer (decode
 cache for every run, coverage runs included, and the REPRO_VERIFY_LOCKSTEP
-audit) plus the executor's k-1 degrade hook.
+audit).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from repro.errors import ReproError
 from repro.fuzzing import CoverageMap, FuzzerOptions
 from repro.juliet import build_suite
 from repro.parallel.stats import EngineStats
-from repro.vm import DecodedProgram, ForkServer, LockstepExecutor, run_binary, run_lockstep
-from repro.vm.execution import ExecutionResult, Status, deadline_result
+from repro.vm import DecodedProgram, ForkServer, run_binary, run_lockstep
+from repro.vm.execution import ExecutionResult, Status
 from repro.vm.memory import ImageLayout
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -345,37 +345,3 @@ int main(void) {
         server = ForkServer(binary)
         with pytest.raises(ReproError, match="lockstep divergence.*coverage trace"):
             server.run(b"abc", coverage=CoverageMap())
-
-
-class TestLockstepExecutor:
-    SRC = 'int main(void){ printf("%u", input_size() * 2u); return 0; }'
-
-    def _servers(self):
-        return {
-            config.name: ForkServer(compile_source(self.SRC, config))
-            for config in DEFAULT_IMPLEMENTATIONS
-        }
-
-    def test_runs_all_implementations(self):
-        executor = LockstepExecutor(self._servers())
-        assert executor.decode_all() > 0
-        results = executor.run_input(b"abc")
-        assert set(results) == {c.name for c in DEFAULT_IMPLEMENTATIONS}
-        assert all(r.stdout == b"6" for r in results.values())
-
-    def test_on_error_degrades_failing_implementation(self):
-        servers = self._servers()
-
-        def explode(input_bytes, fuel=None, coverage=None):
-            raise ReproError("injected")
-
-        servers["gcc-O2"].run = explode
-        executor = LockstepExecutor(servers)
-        with pytest.raises(ReproError, match="injected"):
-            executor.run_input(b"")
-        results = executor.run_input(
-            b"", on_error=lambda name, exc: deadline_result(name, str(exc))
-        )
-        assert results["gcc-O2"].deadline_expired
-        survivors = [n for n, r in results.items() if not r.deadline_expired]
-        assert len(survivors) == len(DEFAULT_IMPLEMENTATIONS) - 1

@@ -3,9 +3,9 @@
 The parallel engine is a pure wall-clock optimization: at any ``workers``
 setting the DiffResult checksums, divergent flags, and groups() must be
 byte-identical to the serial CompDiff path.  These tests pin that over a
-Juliet-derived corpus plus seeded random inputs, the ServerGroup
-``run_input`` fan-out, ``check_batch``, and the RQ6 partial-timeout
-retry schedule.
+Juliet-derived corpus plus seeded random inputs, ``check_batch``, and
+the RQ6 partial-timeout retry schedule, and pin that per-input oracle
+calls (``build`` + ``run_input``) stay in-process at any ``workers``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 from repro.core.compdiff import CompDiff
 from repro.juliet import build_suite
 from repro.minic import load
-from repro.parallel import CompileCache, EngineStats, ParallelEngine, ServerGroup
+from repro.parallel import CompileCache, EngineStats, ParallelEngine
 
 pytestmark = pytest.mark.parallel
 
@@ -104,21 +104,23 @@ def test_batch_results_keep_implementation_order(corpus):
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_run_input_fan_out_via_server_group(corpus, workers):
-    """build() hands back a ServerGroup whose run_input fans out remotely,
-    with results identical to local ForkServer execution."""
+def test_run_input_stays_in_process(corpus, workers):
+    """build() + run_input() never dispatch a pool task, whatever
+    ``workers`` is, and give the serial engine's results."""
     src, inputs, name = corpus[0]
     serial = CompDiff()
     serial_servers = serial.build(load(src), name=name)
     with CompDiff(workers=workers) as engine:
         servers = engine.build(load(src), name=name)
-        assert isinstance(servers, ServerGroup)
+        assert type(servers) is dict
         for input_bytes in inputs:
-            parallel_diff = engine.run_input(servers, input_bytes)
+            diff = engine.run_input(servers, input_bytes)
             serial_diff = serial.run_input(serial_servers, input_bytes)
-            assert parallel_diff.checksums == serial_diff.checksums
-            assert parallel_diff.observations == serial_diff.observations
-            assert parallel_diff.groups() == serial_diff.groups()
+            assert diff.checksums == serial_diff.checksums
+            assert diff.observations == serial_diff.observations
+            assert diff.groups() == serial_diff.groups()
+        assert engine.stats.batches == 0
+        assert engine.stats.exec_counts == serial.stats.exec_counts
 
 
 def test_partial_timeout_retry_equivalence():
