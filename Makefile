@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-faults test-passes test-generative test-sanval test-verified smoke-generate sancheck sancheck-baseline chaos bench bench-quick bench-scaling bench-passes bench-throughput precision analyze examples clean
+.PHONY: install test test-fast test-faults test-passes test-generative test-sanval test-verified smoke-generate sancheck sancheck-baseline chaos identity bench bench-quick bench-scaling bench-passes bench-throughput precision analyze examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -58,6 +58,13 @@ sancheck-baseline:
 # regression fails by timeout instead of stalling.  docs/ROBUSTNESS.md.
 chaos:
 	timeout 600 $(PYTHON) benchmarks/chaos_smoke.py
+
+# Bank identity: the two bank-writing benchmark workloads must bank the
+# keys and print the scoreboard digest recorded in perfbench/expected.json
+# (run.py exits 1 on any difference).
+identity:
+	$(PYTHON) perfbench/run.py --workload generate-ub --trace 0
+	$(PYTHON) perfbench/run.py --workload sancheck-mixed --trace 0
 
 # Same suite with IR verification enabled after every compile (and,
 # with the pass manager, after every individual pass application).

@@ -194,20 +194,26 @@ def _measure_batched_submission() -> dict:
     # program once, which is set-up, not submission.
     single_jobs = [BatchJob(program, [i], "bench") for i in LIGHT_INPUTS]
 
+    # Scatter tasks are counted per pass: the engine splits a job into
+    # implementation chunks, so a job is not one task.
     with ParallelEngine(DEFAULT_IMPLEMENTATIONS, DEFAULT_FUEL, workers=2) as engine:
         best_single = None
         for _ in range(ITERATIONS):
+            dispatched = engine.stats.batches
             started = time.perf_counter()
             singles = [engine.run_batch([job])[0][0] for job in single_jobs]
             wall = time.perf_counter() - started
+            per_execution_tasks = engine.stats.batches - dispatched
             best_single = wall if best_single is None else min(best_single, wall)
 
         job = BatchJob(program, list(LIGHT_INPUTS), "bench")
         best_batched = None
         for _ in range(ITERATIONS):
+            dispatched = engine.stats.batches
             started = time.perf_counter()
             (batched,) = engine.run_batch([job])
             wall = time.perf_counter() - started
+            batched_tasks = engine.stats.batches - dispatched
             best_batched = wall if best_batched is None else min(best_batched, wall)
 
     identical = [
@@ -219,8 +225,8 @@ def _measure_batched_submission() -> dict:
     return {
         "workers": 2,
         "inputs": len(LIGHT_INPUTS),
-        "per_execution_tasks": len(LIGHT_INPUTS),
-        "batched_tasks": 1,
+        "per_execution_tasks": per_execution_tasks,
+        "batched_tasks": batched_tasks,
         "per_execution_exec_per_sec": _rate(executions, best_single),
         "batched_exec_per_sec": _rate(executions, best_batched),
         "speedup": round(best_single / best_batched, 2),
@@ -266,9 +272,12 @@ def test_throughput_identity_and_baseline_floor():
     assert data["single_binary"]["observations_identical"]
     assert data["oracle_step"]["verdicts_identical"]
     assert data["batched_submission"]["results_identical"]
+    # Task counts are counted, not timed: they must match the baseline.
+    baseline = json.loads(BASELINE.read_text())
+    for key in ("per_execution_tasks", "batched_tasks"):
+        assert data["batched_submission"][key] == baseline["batched_submission"][key]
     # The committed baseline (refreshed on a quiet machine by
     # `make bench-throughput`) must keep clearing the acceptance floor.
-    baseline = json.loads(BASELINE.read_text())
     assert baseline["oracle_step"]["speedup"] >= ORACLE_SPEEDUP_FLOOR
     assert baseline["oracle_step"]["verdicts_identical"]
     assert baseline["single_binary"]["observations_identical"]

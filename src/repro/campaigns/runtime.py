@@ -203,8 +203,8 @@ def _shard_worker(
     bank_dir = os.path.join(shard_dir, SHARD_BANK_DIR)
     ckpt_path = os.path.join(ckpt_dir, campaign.checkpoint_file)
     # Boundary-exact checkpoints: an injected crash at offset k resumes
-    # at exactly k.  The shard *is* the parallelism, so one engine worker.
-    options = replace(options, checkpoint_dir=ckpt_dir, checkpoint_every=1, workers=1)
+    # at exactly k.
+    options = replace(options, checkpoint_dir=ckpt_dir, checkpoint_every=1)
 
     def progress(offset: int) -> None:
         atomic_write_json(heartbeat_path, {"offset": offset, "pid": os.getpid()})
@@ -280,6 +280,11 @@ class CampaignRuntime:
         if getattr(options, "min_banked", None) is not None:
             raise EngineConfigError(
                 "min_banked stops a campaign in discovery order and cannot be sharded"
+            )
+        if options.workers > 1:
+            raise EngineConfigError(
+                f"workers={options.workers} cannot be sharded: each shard is one "
+                "serial engine (pick --shards or --workers)"
             )
         self.campaign = campaign
         self.options = options

@@ -175,9 +175,10 @@ def _print_shard_summary(runtime) -> None:
 def _run_campaign(args, command, campaign, options, bank_dir, resume, report) -> int:
     """Run a seed-list campaign serially or under ``--shards``, then report.
 
-    Shared by ``generate`` and ``sancheck``: the serial/sharded choice
-    and the Ctrl-C message (*resume* is the command that continues the
-    run).  *report* is called as
+    Shared by ``generate`` and ``sancheck``: the serial/sharded choice,
+    the Ctrl-C message (*resume* is the command that continues the run)
+    and ``--stats`` (the engine's metrics; a sharded run's are the shard
+    supervisor's).  *report* is called as
     ``report(args, result, runtime, bank)`` (``runtime`` is None for a
     serial run) and returns the exit code.
     """
@@ -205,9 +206,11 @@ def _run_campaign(args, command, campaign, options, bank_dir, resume, report) ->
                 policy=_shard_policy(args),
             )
             result = runtime.run()
+            stats = runtime.stats
         else:
             with campaign(options, bank) as walk:
                 result = walk.run()
+            stats = walk.engine.stats
     except KeyboardInterrupt:
         if checkpoint_dir:
             print(
@@ -217,6 +220,8 @@ def _run_campaign(args, command, campaign, options, bank_dir, resume, report) ->
         else:
             print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
         return 130
+    if args.stats:
+        print(stats.render(), file=sys.stderr)
     return report(args, result, runtime, bank)
 
 
@@ -822,6 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "(exit 1 if not reached)")
     generate.add_argument("--workers", type=int, default=1,
                           help="worker processes for the CompDiff oracle")
+    generate.add_argument("--stats", action="store_true",
+                          help="print engine metrics to stderr (under "
+                               "--shards, the shard supervisor's)")
     generate.add_argument("--checkpoint-dir", default=None,
                           help="journal campaign progress into this directory")
     generate.add_argument("--checkpoint-every", type=int, default=5,
@@ -869,6 +877,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suppress sanitizer reports by fingerprint")
     sancheck.add_argument("--workers", type=int, default=1,
                           help="worker processes for the CompDiff oracle")
+    sancheck.add_argument("--stats", action="store_true",
+                          help="print engine metrics to stderr (under "
+                               "--shards, the shard supervisor's)")
     sancheck.add_argument("--checkpoint-dir", default=None,
                           help="journal campaign progress into this directory")
     sancheck.add_argument("--checkpoint-every", type=int, default=1,

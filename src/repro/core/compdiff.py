@@ -68,6 +68,11 @@ class DiffResult:
             by_checksum.setdefault(checksum, []).append(name)
         return sorted(by_checksum.values(), key=lambda group: (-len(group), group[0]))
 
+    @property
+    def partition(self) -> tuple[tuple[str, ...], ...]:
+        """The groups in canonical form: each group sorted, groups sorted."""
+        return tuple(sorted(tuple(sorted(group)) for group in self.groups()))
+
     def divergent_for(self, subset: tuple[str, ...]) -> bool:
         """Would this input be flagged using only *subset* implementations?"""
         seen = {self.checksums[name] for name in subset if name in self.checksums}
@@ -112,6 +117,16 @@ class CheckOutcome:
         return [diff.input for diff in self.diffs if diff.divergent]
 
 
+def _answer(outcome: CheckOutcome, partition: tuple[tuple[str, ...], ...] | None) -> bool:
+    """:meth:`CompDiff.diverges`'s question, answered from a full outcome:
+    does some input diverge (with *partition*: split the implementations
+    exactly that way)?"""
+    return any(
+        diff.divergent and (partition is None or diff.partition == partition)
+        for diff in outcome.diffs
+    )
+
+
 class CompDiff:
     """Compiler-driven differential testing over a fixed implementation set.
 
@@ -122,12 +137,15 @@ class CompDiff:
 
     Per-input oracle calls (:meth:`build` then :meth:`run_input`, the
     fuzzer's path) always run in this process, back to back through the
-    k fork servers.  ``workers=N`` scatters whole-program checks
-    (:meth:`check`, :meth:`check_source`, :meth:`check_batch`) across a
-    persistent worker pool (:mod:`repro.parallel`) with byte-identical
-    verdicts; call :meth:`close` (or use the engine as a context manager)
-    to shut the pool down.  ``compile_cache`` memoizes compilation by
-    content so repeated checks of identical programs skip the compiler.
+    k fork servers.  Yes/no questions (:meth:`diverges`, the reducer's
+    and the good-twin screens' path) build one implementation at a time
+    and stop once the answer is fixed.  ``workers=N`` scatters
+    whole-program checks (:meth:`check`, :meth:`check_source`,
+    :meth:`check_batch`) across a persistent worker pool
+    (:mod:`repro.parallel`) with byte-identical verdicts; call
+    :meth:`close` (or use the engine as a context manager) to shut the
+    pool down.  ``compile_cache`` memoizes compilation by content so
+    repeated checks of identical programs skip the compiler.
     """
 
     def __init__(
@@ -368,3 +386,124 @@ class CompDiff:
                 diffs.append(diff)
             outcomes.append(CheckOutcome(matrix=matrix, diffs=diffs))
         return outcomes
+
+    # ------------------------------------------------------------ yes/no API
+
+    def diverges(
+        self,
+        program: minic_ast.Program | str,
+        inputs: list[bytes],
+        partition: tuple[tuple[str, ...], ...] | None = None,
+        name: str = "",
+    ) -> bool:
+        """Does :meth:`check` flag *program* on some input?
+
+        With *partition* (a divergence signature's canonical implementation
+        partition) the question is whether some input splits the
+        implementations exactly that way.  The answer is always
+        ``_answer(self.check(program, inputs, name=name), partition)``, but
+        serially it is got by building one implementation at a time — one
+        compile, then a run of every still-undecided input — and returning
+        as soon as the answer is fixed:
+
+        * without a partition, True at the first input whose observation
+          differs from that input's first one; False once all k agree;
+        * with one, an input drops out when two implementations of one
+          group differ or two of different groups agree.  False once every
+          input has dropped out; True when one survives all k.  Each
+          group's first member runs first, groups in partition order, then
+          the rest in :attr:`implementations` order.
+
+        Two finished runs that contradict each other stay contradicted in
+        the full check (RQ6 retries re-run only timed-out results, and k-1
+        degradation only drops implementations), so an early answer is
+        exact.  Anything the lazy walk cannot mirror falls back to the full
+        check: a fuel TIMEOUT (the RQ6 retry depends on which other
+        implementations timed out), a compile or run :class:`ReproError`
+        (k-1 degradation), a partition that does not name exactly
+        :attr:`implementations`, and ``workers > 1`` (the pool answers).
+        A partition of fewer than two groups never holds: False, unbuilt.
+        As in :meth:`check_batch`, *program* may be source text, parsed
+        where it is compiled (in the workers when pooled).
+        """
+        stats = self.stats
+        stats.questions_asked += 1
+        if partition is not None and len(partition) < 2:
+            stats.builds_skipped += len(self.implementations)
+            return False
+        order = self._question_order(partition)
+        if self._engine is not None or order is None:
+            return self._full_answer(program, inputs, partition, name)
+        if isinstance(program, str):
+            program = load(program)
+        # Without a partition every implementation is group 0.  Per input:
+        # checksum -> the group that produced it, group -> its checksum.
+        group_of = {impl: i for i, group in enumerate(partition or ()) for impl in group}
+        owners: list[dict[int, int]] = [{} for _ in inputs]
+        sums: list[dict[int, int]] = [{} for _ in inputs]
+        undecided = list(range(len(inputs)))
+        built = 0
+        for config in order:
+            try:
+                binary = compile_counted(
+                    program, config, stats, cache=self.compile_cache, name=name
+                )
+            except ReproError:
+                return self._full_answer(program, inputs, partition, name)
+            server = ForkServer(binary, fuel=self.fuel, stats=stats)
+            built += 1
+            group = group_of.get(config.name, 0)
+            surviving = []
+            for i in undecided:
+                try:
+                    result = server.run(inputs[i])
+                except ReproError:
+                    return self._full_answer(program, inputs, partition, name)
+                stats.exec_counts[config.name] += 1
+                if result.timed_out:
+                    return self._full_answer(program, inputs, partition, name)
+                obs = self.normalizer.normalize_observation(result.observation())
+                checksum = observation_checksum(obs)
+                if partition is None:
+                    if sums[i].setdefault(group, checksum) != checksum:
+                        return self._lazy_answer(True, built, len(inputs))
+                    surviving.append(i)
+                elif (
+                    owners[i].setdefault(checksum, group) == group
+                    and sums[i].setdefault(group, checksum) == checksum
+                ):
+                    surviving.append(i)
+            undecided = surviving
+            if not undecided:
+                return self._lazy_answer(False, built, len(inputs))
+        return self._lazy_answer(partition is not None, built, len(inputs))
+
+    def _question_order(
+        self, partition: tuple[tuple[str, ...], ...] | None
+    ) -> tuple[CompilerConfig, ...] | None:
+        """Build order for :meth:`diverges`; None when *partition* does not
+        name every implementation exactly once."""
+        if partition is None:
+            return self.implementations
+        names = sorted(config.name for config in self.implementations)
+        if not all(partition) or sorted(n for group in partition for n in group) != names:
+            return None
+        leaders = [group[0] for group in partition]
+        by_name = {config.name: config for config in self.implementations}
+        rest = [config for config in self.implementations if config.name not in leaders]
+        return tuple(by_name[leader] for leader in leaders) + tuple(rest)
+
+    def _lazy_answer(self, answer: bool, built: int, inputs: int) -> bool:
+        self.stats.builds_skipped += len(self.implementations) - built
+        self.stats.inputs_checked += inputs
+        return answer
+
+    def _full_answer(
+        self,
+        program: minic_ast.Program | str,
+        inputs: list[bytes],
+        partition: tuple[tuple[str, ...], ...] | None,
+        name: str,
+    ) -> bool:
+        self.stats.full_checks += 1
+        return _answer(self.check_batch([(program, inputs, name)])[0], partition)

@@ -33,8 +33,7 @@ class DivergenceSignature:
 
 
 def signature_of(diff: DiffResult, sites: frozenset[int] = frozenset()) -> DivergenceSignature:
-    partition = tuple(sorted(tuple(sorted(group)) for group in diff.groups()))
-    return DivergenceSignature(partition=partition, sites=sites)
+    return DivergenceSignature(partition=diff.partition, sites=sites)
 
 
 def triage(

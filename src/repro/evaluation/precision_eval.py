@@ -242,7 +242,7 @@ def evaluate_precision(
         report.cases += 1
         bad = load(case.bad_source)
         good = load(case.good_source)
-        divergent = engine.check(bad, case.inputs, name=case.uid).divergent
+        divergent = engine.diverges(bad, case.inputs, name=case.uid)
         if divergent:
             report.divergent += 1
         eligible = {

@@ -7,7 +7,7 @@ One campaign walks a contiguous seed range through the full pipeline:
 2. **diff** — the CompDiff engine (optionally on the supervised worker
    pool) cross-checks it over the campaign inputs;
 3. **reduce** — divergent programs are delta-debugged down under a
-   *signature-pinned* :class:`~repro.generative.reducer.StillDiverges`
+   *partition-pinned* :class:`~repro.generative.reducer.StillDiverges`
    predicate, so the reduced repro exhibits the same implementation
    partition as the original, not a cheaper unrelated one;
 4. **bank** — the reduced repro, its stabilized twin, its UB-oracle
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from repro.campaigns.kernel import Campaign
 from repro.core.bisect import bisect_divergence, choose_bisection_pair
 from repro.core.compdiff import DiffResult
-from repro.core.triage import signature_of
 from repro.generative.bank import (
     BASELINE_CULPRIT,
     BankedRepro,
@@ -199,7 +198,7 @@ class GenerativeCampaign(Campaign):
             return
         result.divergent += 1
         diff = next(d for d in outcome.diffs if d.divergent)
-        signature = signature_of(diff)
+        partition = diff.partition
         impl_ref, impl_target = choose_bisection_pair(diff)
         culprit_original = self._attribute(
             generated.source, diff, impl_ref, impl_target, name
@@ -211,11 +210,7 @@ class GenerativeCampaign(Campaign):
         steps = tests = 0
         if options.reduce:
             predicate = StillDiverges(
-                self.engine,
-                options.inputs,
-                name=name,
-                same_signature=True,
-                signature=signature,
+                self.engine, options.inputs, name=name, partition=partition
             )
             reduction = Reducer(
                 predicate,
@@ -232,7 +227,7 @@ class GenerativeCampaign(Campaign):
         diagnostics = to_diagnostics(self.oracle.report(load(source), name=name).findings)
         checkers = {d.checker for d in diagnostics}
         categories = {CHECKER_CATEGORY.get(c, "Misc") for c in checkers}
-        key = corpus_key(checkers, culprit_original, signature.partition)
+        key = corpus_key(checkers, culprit_original, partition)
 
         def make_repro() -> BankedRepro:
             return BankedRepro(
@@ -247,7 +242,7 @@ class GenerativeCampaign(Campaign):
                 checkers=tuple(sorted(checkers)),
                 fingerprints=tuple(sorted(d.fingerprint for d in diagnostics)),
                 group=classify_group(categories),
-                partition=signature.partition,
+                partition=partition,
                 impl_ref=impl_ref,
                 impl_target=impl_target,
                 culprit_original=culprit_original,
@@ -295,12 +290,9 @@ class GenerativeCampaign(Campaign):
             if budget <= 0:
                 break
             budget -= 1
-            outcome = self.engine.check_source(
-                candidate, self.options.inputs, name=f"{name}-good"
-            )
-            if outcome.divergent:
-                continue
             program = load(candidate)
+            if self.engine.diverges(program, self.options.inputs, name=f"{name}-good"):
+                continue
             if self.oracle.report(program, name=f"{name}-good").findings:
                 continue
             if self._intra_oracle.report(program, name=f"{name}-good").findings:

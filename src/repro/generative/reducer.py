@@ -27,7 +27,7 @@ re-verify every step (``tests/test_generative_reducer.py``).
 
 Predicates are pluggable callables over source text.  One ships here:
 :class:`StillDiverges` (the CompDiff verdict, optionally pinned to the
-divergence signature).
+divergence signature's implementation partition).
 """
 
 from __future__ import annotations
@@ -60,9 +60,11 @@ class Predicate(Protocol):
 class StillDiverges:
     """Interesting iff CompDiff still flags the program on *inputs*.
 
-    ``same_signature=True`` additionally pins the divergence signature
-    (the implementation partition), so reduction cannot slide from one
-    discrepancy class onto a different, cheaper one.
+    With *partition* (a divergence signature's implementation partition)
+    some input must still split the implementations exactly that way, so
+    reduction cannot slide from one discrepancy class onto a different,
+    cheaper one.  The question goes to :meth:`CompDiff.diverges`, which
+    stops building implementations once the answer is fixed.
     """
 
     def __init__(
@@ -70,31 +72,20 @@ class StillDiverges:
         engine,
         inputs: list[bytes],
         name: str = "reduce",
-        same_signature: bool = False,
-        signature=None,
+        partition: tuple[tuple[str, ...], ...] | None = None,
     ) -> None:
-        from repro.core.triage import signature_of
-
         self.engine = engine
         self.inputs = list(inputs)
         self.name = name
-        self.same_signature = same_signature
-        self._signature_of = signature_of
-        self.signature = signature
+        self.partition = partition
 
     def __call__(self, source: str) -> bool:
         try:
-            outcome = self.engine.check_source(source, self.inputs, name=self.name)
+            return self.engine.diverges(
+                source, self.inputs, partition=self.partition, name=self.name
+            )
         except ReproError:
             return False
-        if not outcome.divergent:
-            return False
-        if not self.same_signature:
-            return True
-        for diff in outcome.diffs:
-            if diff.divergent and self._signature_of(diff) == self.signature:
-                return True
-        return False
 
 
 # --------------------------------------------------------------------------

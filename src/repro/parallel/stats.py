@@ -105,6 +105,7 @@ SECTIONS: dict[str, tuple[str, dict[str, Callable[["EngineStats"], Any]]]] = {
         {"total_seconds": lambda s: sum(s.checkpoint_latencies)},
     ),
     "passes": ("pass pipeline", {}),
+    "questions": ("oracle questions", {}),
 }
 
 
@@ -154,11 +155,21 @@ class EngineStats:
     #: pass name -> [applications, changes, seconds] over every fresh
     #: (non-cache-hit) compile, in the parent and in workers.
     pass_timings: dict = counter(PER_PASS, "passes")
+    #: Yes/no oracle questions (``CompDiff.diverges``) asked.
+    questions_asked: int = counter(COUNT, "questions", "asked")
+    #: Implementations a lazy answer never compiled or ran.
+    builds_skipped: int = counter(COUNT, "questions", "builds_skipped")
+    #: Answers read off a full check: a fallback, or the worker pool's.
+    full_checks: int = counter(COUNT, "questions", "full_checks")
 
     def merge(self, other: "EngineStats") -> None:
         """Fold another instance's counters into this one."""
         for name, (kind, _section, _key) in DECLARATIONS:
-            setattr(self, name, kind.fold(getattr(self, name), getattr(other, name)))
+            # An instance pickled before a counter was declared (an older
+            # fuzz checkpoint) lacks it: that counter folds nothing.
+            theirs = getattr(other, name, None)
+            if theirs is not None:
+                setattr(self, name, kind.fold(getattr(self, name), theirs))
 
     def restore(self, other: "EngineStats") -> None:
         """Overwrite every counter in place with *other*'s values.

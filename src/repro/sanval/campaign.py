@@ -61,7 +61,7 @@ from repro.sanval.verdict import (
     SanVerdict,
     VerdictEngine,
 )
-from repro.static_analysis.ub_oracle import UBOracle
+from repro.static_analysis.ub_oracle import CONFIRMED, UBOracle
 
 #: Fixture-corpus manifest version.
 FIXTURES_VERSION = 1
@@ -542,18 +542,24 @@ class SancheckCampaign(Campaign):
         Unlike the generative campaign's stabilizer this screens on the
         *confirmed* oracle verdict only (plus stability): a POSSIBLE
         warning on a stable neighbor is FP-measurement signal, not a
-        disqualifier.
+        disqualifier.  The oracle screen runs first, so a neighbor it
+        rejects is never built; the stability question builds only until
+        its answer is fixed.
         """
         budget = self.options.stabilize_budget
+        label = f"{name}-good"
         for candidate in single_step_variants(source):
             if budget <= 0:
                 break
             budget -= 1
             try:
-                truth = self.verdicts.ground_truth(candidate, inputs, name=f"{name}-good")
+                program = load(candidate)
+                report = self.oracle.report(program, name=label)
+                if any(f.confidence == CONFIRMED for f in report.findings):
+                    continue
+                if self.engine.diverges(program, inputs, name=label):
+                    continue
             except ReproError:
-                continue
-            if truth.divergent or truth.confirmed_checkers:
                 continue
             return candidate
         return None

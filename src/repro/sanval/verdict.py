@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 from repro.core.bisect import choose_bisection_pair
 from repro.core.compdiff import CompDiff
-from repro.core.triage import signature_of
 from repro.errors import ReproError
 from repro.minic import load
 from repro.sanitizers import Sanitizer, all_sanitizers
@@ -196,10 +195,10 @@ class VerdictEngine:
         report = self.oracle.report(program, name=name)
         confirmed = [f for f in report.findings if f.confidence == CONFIRMED]
         diagnostics = to_diagnostics(confirmed)
-        outcome = self.engine.check_source(source, inputs, name=name)
+        outcome = self.engine.check(program, inputs, name=name)
         if outcome.divergent:
             diff = next(d for d in outcome.diffs if d.divergent)
-            partition = signature_of(diff).partition
+            partition = diff.partition
             impl_ref, impl_target = choose_bisection_pair(diff)
         else:
             names = sorted(impl.name for impl in self.engine.implementations)
@@ -322,7 +321,8 @@ class SanitizerStillSilent:
     A candidate stays interesting only while (1) the sanitizer emits no
     report on it, (2) the oracle still *confirms* at least one of the
     pinned checkers, and (3) the differential engine still diverges.
-    Checks run cheapest-first; the ten-implementation diff is last.
+    Checks run cheapest-first; the differential question is last, asked
+    of :meth:`CompDiff.diverges`.
     """
 
     sanitizer: Sanitizer
@@ -344,7 +344,7 @@ class SanitizerStillSilent:
         confirmed = {f.checker for f in report.findings if f.confidence == CONFIRMED}
         if not (confirmed & self.checkers):
             return False
-        return self.engine.check_source(source, self.inputs, name=self.name).divergent
+        return self.engine.diverges(program, self.inputs, name=self.name)
 
 
 @dataclass
@@ -370,4 +370,4 @@ class SanitizerStillFires:
         report = self.oracle.report(program, name=self.name)
         if any(f.confidence == CONFIRMED for f in report.findings):
             return False
-        return not self.engine.check_source(source, self.inputs, name=self.name).divergent
+        return not self.engine.diverges(program, self.inputs, name=self.name)

@@ -47,6 +47,12 @@ INVOCATIONS = {
         "generate", "--seed", "0", "--budget", "1", "--no-reduce",
         "--corpus", str(tmp / "corpus"), "--shards", "0",
     ],
+    # EngineConfigError from the sharded campaign runtime.
+    "shards-with-workers": lambda tmp: [
+        "generate", "--seed", "0", "--budget", "1", "--no-reduce",
+        "--corpus", str(tmp / "corpus"), "--checkpoint-dir", str(tmp / "ckpt"),
+        "--shards", "2", "--workers", "2",
+    ],
     # EngineConfigError from the fuzzer and the campaign kernel.
     "zero-stride": lambda tmp: [
         "fuzz", _write(tmp / "ok.c", STABLE), "--stride", "0"
@@ -66,6 +72,16 @@ def test_unhandled_repro_error_exits_two(tmp_path, capsys, make_argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("repro: ")
+
+
+def test_generate_stats_show_the_oracle_questions(tmp_path, capsys):
+    argv = [
+        "generate", "--seed", "0", "--budget", "1", "--no-reduce",
+        "--corpus", str(tmp_path / "corpus"), "--stats",
+    ]
+    assert cli_main(argv) == 0
+    err = capsys.readouterr().err
+    assert "oracle questions: asked=" in err
 
 
 def test_building_the_parser_imports_no_campaign_package():

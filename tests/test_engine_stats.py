@@ -110,6 +110,19 @@ def test_restore_and_pickle_reproduce_every_counter():
     assert resumed == stats
 
 
+def test_restoring_an_instance_pickled_before_a_counter_existed():
+    # A fuzz checkpoint pickled by an older build lacks the counters
+    # declared since: they restore as zero, the rest as recorded.
+    stats = _filled()
+    old = pickle.loads(pickle.dumps(stats))
+    del old.questions_asked
+    resumed = EngineStats()
+    resumed.restore(old)
+    assert resumed.questions_asked == 0
+    assert resumed.builds_skipped == stats.builds_skipped
+    assert resumed.exec_counts == stats.exec_counts
+
+
 def test_every_counter_appears_in_snapshot_and_render():
     stats = _filled()
     snapshot = stats.snapshot()
