@@ -61,10 +61,12 @@ chaos:
 
 # Bank identity: the two bank-writing benchmark workloads must bank the
 # keys and print the scoreboard digest recorded in perfbench/expected.json
-# (run.py exits 1 on any difference).
+# (run.py exits 1 on any difference).  Traced runs: each also runs
+# untraced, and the traced run must reproduce the untraced identity with
+# every layer entry point wrapped.
 identity:
-	$(PYTHON) perfbench/run.py --workload generate-ub --trace 0
-	$(PYTHON) perfbench/run.py --workload sancheck-mixed --trace 0
+	$(PYTHON) perfbench/run.py --workload generate-ub --trace 1
+	$(PYTHON) perfbench/run.py --workload sancheck-mixed --trace 1
 
 # Same suite with IR verification enabled after every compile (and,
 # with the pass manager, after every individual pass application).

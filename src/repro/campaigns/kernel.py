@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.campaigns.sigint import DeferredInterrupt
 from repro.core.compdiff import CompDiff
 from repro.errors import CheckpointError, EngineConfigError
+from repro.parallel.stats import EngineStats
 from repro.persist import read_record, write_record
 
 #: Magic of :class:`CampaignState` records (checkpoints and shard results).
@@ -43,6 +44,9 @@ class CampaignState:
     offset: int
     #: The campaign's own result object as of ``offset``.
     result: object
+    #: The walk's engine counters as of ``offset`` (None in records
+    #: written before they were kept).
+    stats: EngineStats | None = None
 
 
 def read_state(path: str, kind: str, digest: str) -> CampaignState:
@@ -178,6 +182,8 @@ class Campaign:
         else:
             result, start = state.result, max(lo, state.offset)
             result.resumed_at = start
+            if state.stats is not None:
+                self.engine.stats.merge(state.stats)
         reached = start
         with DeferredInterrupt(enabled=self.interruptible) as intr:
             for offset in range(start, hi):
@@ -219,7 +225,10 @@ class Campaign:
             write_record(
                 path,
                 STATE_MAGIC,
-                CampaignState(self.kind, self.options.digest(), start, offset, result),
+                CampaignState(
+                    self.kind, self.options.digest(), start, offset, result,
+                    self.engine.stats,
+                ),
             )
 
     def _load_state(self) -> CampaignState | None:

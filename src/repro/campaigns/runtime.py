@@ -222,10 +222,10 @@ def _shard_worker(
             progress=progress,
             interruptible=False,
         ) as walk:
-            return walk.run()
+            return walk.run(), walk.engine.stats
 
     try:
-        result = run_block()
+        result, stats = run_block()
     except ReproError:
         # Torn/corrupt shard state (CheckpointError from the checkpoint,
         # ReproError from the bank manifest): wipe this shard only and
@@ -233,11 +233,11 @@ def _shard_worker(
         # campaign error and propagates.
         shutil.rmtree(ckpt_dir, ignore_errors=True)
         shutil.rmtree(bank_dir, ignore_errors=True)
-        result = run_block()
+        result, stats = run_block()
     write_record(
         os.path.join(shard_dir, RESULT_FILE),
         STATE_MAGIC,
-        CampaignState(campaign.kind, options.digest(), lo, hi, result),
+        CampaignState(campaign.kind, options.digest(), lo, hi, result, stats),
     )
 
 
@@ -259,9 +259,9 @@ class CampaignRuntime:
     """Partition a campaign across shard workers and merge their banks.
 
     Takes the campaign class and its options.  ``run()`` returns the
-    same result a serial ``campaign(options, bank).run()`` would;
-    recovery accounting lands in :attr:`stats` and poison seeds in
-    :attr:`quarantine`.
+    same result a serial ``campaign(options, bank).run()`` would.  The
+    shards' engine counters and the recovery accounting land in
+    :attr:`stats`, poison seeds in :attr:`quarantine`.
     """
 
     def __init__(
@@ -594,7 +594,8 @@ class CampaignRuntime:
     def _merge(self):
         """Fold the finished shards into one result, banking serially.
 
-        Walk counters add up in shard order.  Banking replays the
+        Walk counters add up in shard order, and each shard's engine
+        counters fold into :attr:`stats`.  Banking replays the
         concatenated key streams (serial discovery order, blocks being
         contiguous) through :func:`~repro.campaigns.kernel.bank_step`,
         taking each key's entry from the first shard bank that holds it.
@@ -611,6 +612,8 @@ class CampaignRuntime:
                     f"shard {index} finished without a valid result record"
                 )
             merged.absorb(state.result)
+            if state.stats is not None:
+                self.stats.merge(state.stats)
             banks.append(
                 self.campaign.bank_type(
                     os.path.join(self._shard_dir(index), SHARD_BANK_DIR)

@@ -177,8 +177,8 @@ def _run_campaign(args, command, campaign, options, bank_dir, resume, report) ->
 
     Shared by ``generate`` and ``sancheck``: the serial/sharded choice,
     the Ctrl-C message (*resume* is the command that continues the run)
-    and ``--stats`` (the engine's metrics; a sharded run's are the shard
-    supervisor's).  *report* is called as
+    and ``--stats`` (the engine's metrics; a sharded run's are its
+    shards' engine counters plus the supervisor's recovery counters).  *report* is called as
     ``report(args, result, runtime, bank)`` (``runtime`` is None for a
     serial run) and returns the exit code.
     """

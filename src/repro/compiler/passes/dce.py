@@ -57,26 +57,25 @@ def _live_registers(func: Function) -> set[Reg]:
     """Registers used by any instruction that must be kept.
 
     Because registers are single-assignment *per lowering site* but not
-    SSA, we conservatively mark every use anywhere as live.
+    SSA, we conservatively mark every use anywhere as live.  Liveness then
+    flows backwards through def-use chains: a live register's definitions
+    make their operands live.  A worklist visits each register once.
     """
     live: set[Reg] = set()
+    #: register -> registers read by the instructions that define it.
+    sources: dict[Reg, list[Reg]] = {}
     for block in func.blocks.values():
         for instr in block.instrs:
-            effectful = not isinstance(instr, _PURE)
-            for operand in instr.uses():
-                if isinstance(operand, Reg):
-                    if effectful:
-                        live.add(operand)
-    # Propagate liveness backwards through pure def-use chains until stable.
-    changed = True
-    while changed:
-        changed = False
-        for block in func.blocks.values():
-            for instr in block.instrs:
-                dst = instr.defines()
-                if dst is not None and dst in live:
-                    for operand in instr.uses():
-                        if isinstance(operand, Reg) and operand not in live:
-                            live.add(operand)
-                            changed = True
+            regs = [operand for operand in instr.uses() if isinstance(operand, Reg)]
+            if not isinstance(instr, _PURE):
+                live.update(regs)
+            dst = instr.defines()
+            if dst is not None and regs:
+                sources.setdefault(dst, []).extend(regs)
+    worklist = list(live)
+    while worklist:
+        for operand in sources.get(worklist.pop(), ()):
+            if operand not in live:
+                live.add(operand)
+                worklist.append(operand)
     return live

@@ -28,7 +28,7 @@ from repro.generative.generator import (
     GeneratorProfile,
     generate_program,
 )
-from repro.generative.reducer import ReductionResult, Reducer, StillDiverges
+from repro.generative.reducer import Candidate, ReductionResult, Reducer, StillDiverges
 from repro.generative.bank import BankedRepro, CorpusBank
 from repro.generative.campaign import (
     GenerativeCampaign,
@@ -41,6 +41,7 @@ __all__ = [
     "GeneratedProgram",
     "GeneratorProfile",
     "generate_program",
+    "Candidate",
     "Reducer",
     "ReductionResult",
     "StillDiverges",

@@ -205,9 +205,6 @@ class GenerativeCampaign(Campaign):
         )
 
         source = generated.source
-        original_nodes = count_nodes(load(source))
-        reduced_nodes = original_nodes
-        steps = tests = 0
         if options.reduce:
             predicate = StillDiverges(
                 self.engine, options.inputs, name=name, partition=partition
@@ -222,6 +219,9 @@ class GenerativeCampaign(Campaign):
             reduced_nodes = reduction.reduced_nodes
             steps = len(reduction.steps)
             tests = reduction.tests_run
+        else:
+            original_nodes = reduced_nodes = count_nodes(load(source))
+            steps = tests = 0
 
         culprit_reduced = self._attribute(source, diff, impl_ref, impl_target, name)
         diagnostics = to_diagnostics(self.oracle.report(load(source), name=name).findings)
@@ -290,12 +290,12 @@ class GenerativeCampaign(Campaign):
             if budget <= 0:
                 break
             budget -= 1
-            program = load(candidate)
+            program = candidate.program
             if self.engine.diverges(program, self.options.inputs, name=f"{name}-good"):
                 continue
             if self.oracle.report(program, name=f"{name}-good").findings:
                 continue
             if self._intra_oracle.report(program, name=f"{name}-good").findings:
                 continue
-            return candidate
+            return candidate.source
         return FALLBACK_GOOD

@@ -3,7 +3,8 @@
 Classic ddmin works on byte ranges; this reducer works on the parsed
 AST (diopter/C-Reduce style), so every candidate it proposes is still a
 *program* — and only candidates that re-parse and re-check cleanly are
-ever handed to the interestingness predicate.  The transformation menu,
+ever handed to the interestingness predicate, as a :class:`Candidate`
+carrying both the text and its checked AST.  The transformation menu,
 coarsest first:
 
 * **drop function** — remove an entire unreferenced function;
@@ -20,14 +21,18 @@ coarsest first:
 The engine runs a greedy fixpoint loop: sweep the menu in order, accept
 any candidate the predicate still finds interesting, and restart until a
 full sweep accepts nothing (the 1-minimal fixpoint) or the per-reduction
-step budget runs out.  Acceptance is *monotone by construction* — a
-candidate is only ever adopted after the predicate confirmed it — and
-the trace of accepted snapshots is kept on the result so tests can
-re-verify every step (``tests/test_generative_reducer.py``).
+step budget runs out.  Each candidate is printed from a mutated copy of
+the current AST, deduplicated by its text, and only then parsed, once;
+an accepted candidate's AST is the next sweep's enumeration base, so a
+predicate must never mutate the AST it is handed.  Acceptance is
+*monotone by construction* — a candidate is only ever adopted after the
+predicate confirmed it — and the trace of accepted snapshots is kept on
+the result so tests can re-verify every step
+(``tests/test_generative_reducer.py``).
 
-Predicates are pluggable callables over source text.  One ships here:
-:class:`StillDiverges` (the CompDiff verdict, optionally pinned to the
-divergence signature's implementation partition).
+Predicates are pluggable callables over one :class:`Candidate`.  One
+ships here: :class:`StillDiverges` (the CompDiff verdict, optionally
+pinned to the divergence signature's implementation partition).
 """
 
 from __future__ import annotations
@@ -51,10 +56,28 @@ DEFAULT_TEST_BUDGET = 2500
 # --------------------------------------------------------------------------
 
 
-class Predicate(Protocol):
-    """An interestingness test over candidate source text."""
+@dataclass(frozen=True)
+class Candidate:
+    """One program a predicate judges: its text and its checked AST.
 
-    def __call__(self, source: str) -> bool: ...  # pragma: no cover
+    It hashes and compares by text alone, so it can key a set or a memo.
+    The AST is shared with the reducer, which enumerates the next sweep
+    over an accepted candidate's AST: read it, never mutate it.
+    """
+
+    source: str
+    program: ast.Program = field(compare=False, repr=False)
+
+    @classmethod
+    def parse(cls, source: str) -> "Candidate":
+        """Parse and check *source* (raises :class:`ReproError`)."""
+        return cls(source, load(source))
+
+
+class Predicate(Protocol):
+    """An interestingness test over one candidate program."""
+
+    def __call__(self, candidate: Candidate) -> bool: ...  # pragma: no cover
 
 
 class StillDiverges:
@@ -79,10 +102,10 @@ class StillDiverges:
         self.name = name
         self.partition = partition
 
-    def __call__(self, source: str) -> bool:
+    def __call__(self, candidate: Candidate) -> bool:
         try:
             return self.engine.diverges(
-                source, self.inputs, partition=self.partition, name=self.name
+                candidate.program, self.inputs, partition=self.partition, name=self.name
             )
         except ReproError:
             return False
@@ -425,7 +448,7 @@ class Reducer:
 
     def __init__(
         self,
-        predicate: Callable[[str], bool],
+        predicate: Callable[[Candidate], bool],
         step_budget: int = DEFAULT_STEP_BUDGET,
         test_budget: int = DEFAULT_TEST_BUDGET,
     ) -> None:
@@ -437,101 +460,113 @@ class Reducer:
 
     def reduce(self, source: str) -> ReductionResult:
         """Reduce *source*, which must already satisfy the predicate."""
-        program = load(source)
+        current = Candidate.parse(source)
+        nodes = count_nodes(current.program)
         result = ReductionResult(
             original_source=source,
             reduced_source=source,
-            original_nodes=count_nodes(program),
-            reduced_nodes=count_nodes(program),
+            original_nodes=nodes,
+            reduced_nodes=nodes,
         )
-        if not self.predicate(source):
+        if not self.predicate(current):
             raise ReproError(
                 "reduction requires an interesting starting point; the "
                 "predicate rejected the original program"
             )
-        current = source
-        #: Candidate sources already tested and rejected for the current
-        #: snapshot generation (avoids re-testing identical dead ends).
+        #: Digests of candidate texts already tested and rejected for the
+        #: current snapshot generation (avoids re-testing identical dead
+        #: ends), and of texts that do not parse (never valid again).
         rejected: set[str] = set()
+        broken: set[str] = set()
         while True:
-            accepted_any = False
-            candidates = _Candidates(load(current))
-            for pass_name, pass_candidates in candidates.passes():
-                for description, mutate in pass_candidates:
-                    if len(result.steps) >= self.step_budget:
-                        result.reduced_source = current
-                        return self._finish(result, current)
-                    if result.tests_run >= self.test_budget:
-                        result.reduced_source = current
-                        return self._finish(result, current)
-                    candidate = self._apply(current, mutate)
-                    if candidate is None or candidate == current:
-                        continue
-                    digest = hashlib.sha256(candidate.encode()).hexdigest()
-                    if digest in rejected:
-                        continue
-                    result.tests_run += 1
-                    if not self.predicate(candidate):
-                        rejected.add(digest)
-                        continue
-                    nodes_before = count_nodes(load(current))
-                    nodes_after = count_nodes(load(candidate))
-                    result.steps.append(
-                        ReductionStep(
-                            description=f"{pass_name}: {description}",
-                            nodes_before=nodes_before,
-                            nodes_after=nodes_after,
-                            source=candidate,
-                        )
-                    )
-                    current = candidate
-                    rejected.clear()
-                    accepted_any = True
-                    # Re-enumerate against the new snapshot: indices into
-                    # the old AST are stale after a mutation.
-                    break
-                else:
+            for label, mutate in _mutations(current.program):
+                if (
+                    len(result.steps) >= self.step_budget
+                    or result.tests_run >= self.test_budget
+                ):
+                    return self._finish(result, current.source, nodes)
+                text = _print_mutant(current.program, mutate)
+                if text is None or text == current.source:
                     continue
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                if digest in rejected or digest in broken:
+                    continue
+                candidate = self._apply(text)
+                if candidate is None:
+                    broken.add(digest)
+                    continue
+                result.tests_run += 1
+                if not self.predicate(candidate):
+                    rejected.add(digest)
+                    continue
+                nodes_after = count_nodes(candidate.program)
+                result.steps.append(
+                    ReductionStep(
+                        description=label,
+                        nodes_before=nodes,
+                        nodes_after=nodes_after,
+                        source=candidate.source,
+                    )
+                )
+                # Re-enumerate against the new snapshot: indices into the
+                # old AST are stale after a mutation.
+                current, nodes = candidate, nodes_after
+                rejected.clear()
                 break
-            if not accepted_any:
+            else:
                 result.reached_fixpoint = True
-                result.reduced_source = current
-                return self._finish(result, current)
+                return self._finish(result, current.source, nodes)
 
     @staticmethod
-    def _apply(source: str, mutate) -> str | None:
-        """Apply one mutation to a fresh parse of *source*.
-
-        Returns the reprinted candidate, or None when the mutated AST no
-        longer parses/checks (e.g. a dropped declaration with surviving
-        uses) — such candidates are discarded before the predicate ever
-        sees them.
-        """
-        program = load(source)
-        mutated = copy.deepcopy(program)
+    def _apply(text: str) -> Candidate | None:
+        """The candidate *text* parses to, or None when it no longer
+        parses/checks (e.g. a dropped declaration with surviving uses) —
+        such text never reaches the predicate."""
         try:
-            mutate(mutated)
-            candidate = to_source(mutated)
-            load(candidate)  # still parseable and checker-clean?
+            return Candidate.parse(text)
         except ReproError:
             return None
-        return candidate
 
     @staticmethod
-    def _finish(result: ReductionResult, current: str) -> ReductionResult:
-        result.reduced_nodes = count_nodes(load(current))
+    def _finish(result: ReductionResult, source: str, nodes: int) -> ReductionResult:
+        result.reduced_source = source
+        result.reduced_nodes = nodes
         return result
 
 
-def single_step_variants(source: str):
-    """Yield every valid one-step transformation of *source*.
+def _mutations(program: ast.Program):
+    """``(label, mutate)`` for every transformation of *program*, in menu
+    order."""
+    for pass_name, candidates in _Candidates(program).passes():
+        for description, mutate in candidates:
+            yield f"{pass_name}: {description}", mutate
 
-    Each yielded candidate re-parses and re-checks cleanly.  The
-    campaign's good-twin stabilization search walks these with an
-    *inverted* interestingness test (non-divergent and oracle-clean).
+
+def _print_mutant(program: ast.Program, mutate) -> str | None:
+    """Source of *mutate* applied to a deep copy of *program*, or None
+    when the mutation or the printer raises :class:`ReproError`."""
+    mutated = copy.deepcopy(program)
+    try:
+        mutate(mutated)
+        return to_source(mutated)
+    except ReproError:
+        return None
+
+
+def single_step_variants(source: str):
+    """Yield every valid one-step transformation of *source*, as a
+    :class:`Candidate`.
+
+    *source* is parsed once; each yielded candidate re-parses and
+    re-checks cleanly.  The campaign's good-twin stabilization search
+    walks these with an *inverted* interestingness test (non-divergent
+    and oracle-clean).
     """
-    for _pass_name, candidates in _Candidates(load(source)).passes():
-        for _description, mutate in candidates:
-            candidate = Reducer._apply(source, mutate)
-            if candidate is not None and candidate != source:
-                yield candidate
+    program = load(source)
+    for _label, mutate in _mutations(program):
+        text = _print_mutant(program, mutate)
+        if text is None or text == source:
+            continue
+        candidate = Reducer._apply(text)
+        if candidate is not None:
+            yield candidate

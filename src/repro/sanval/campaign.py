@@ -472,17 +472,16 @@ class SancheckCampaign(Campaign):
     def _finding(self, verdict: SanVerdict, key: str, kinds: tuple[str, ...]) -> BankedFinding:
         """The (reduced) bank entry for a not-yet-banked finding."""
         source = verdict.source
-        original_nodes = count_nodes(load(source))
-        reduced_nodes = original_nodes
-        steps = tests = 0
-        if self.options.reduce:
-            reduction = self._reduce(verdict, source)
-            if reduction is not None:
-                source = reduction.reduced_source
-                original_nodes = reduction.original_nodes
-                reduced_nodes = reduction.reduced_nodes
-                steps = len(reduction.steps)
-                tests = reduction.tests_run
+        reduction = self._reduce(verdict, source) if self.options.reduce else None
+        if reduction is not None:
+            source = reduction.reduced_source
+            original_nodes = reduction.original_nodes
+            reduced_nodes = reduction.reduced_nodes
+            steps = len(reduction.steps)
+            tests = reduction.tests_run
+        else:
+            original_nodes = reduced_nodes = count_nodes(load(source))
+            steps = tests = 0
         return BankedFinding(
             key=key,
             sanitizer=verdict.sanitizer,
@@ -553,13 +552,12 @@ class SancheckCampaign(Campaign):
                 break
             budget -= 1
             try:
-                program = load(candidate)
-                report = self.oracle.report(program, name=label)
+                report = self.oracle.report(candidate.program, name=label)
                 if any(f.confidence == CONFIRMED for f in report.findings):
                     continue
-                if self.engine.diverges(program, inputs, name=label):
+                if self.engine.diverges(candidate.program, inputs, name=label):
                     continue
             except ReproError:
                 continue
-            return candidate
+            return candidate.source
         return None

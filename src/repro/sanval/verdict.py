@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.core.bisect import choose_bisection_pair
 from repro.core.compdiff import CompDiff
-from repro.errors import ReproError
+from repro.generative.reducer import Candidate
 from repro.minic import load
 from repro.sanitizers import Sanitizer, all_sanitizers
 from repro.static_analysis.diagnostics import (
@@ -333,11 +333,8 @@ class SanitizerStillSilent:
     checkers: frozenset[str]
     name: str = "sanval-reduce"
 
-    def __call__(self, source: str) -> bool:
-        try:
-            program = load(source)
-        except ReproError:
-            return False
+    def __call__(self, candidate: Candidate) -> bool:
+        program = candidate.program
         if self.sanitizer.check_all(program, self.inputs, name=self.name):
             return False
         report = self.oracle.report(program, name=self.name)
@@ -359,11 +356,8 @@ class SanitizerStillFires:
     kind: str
     name: str = "sanval-reduce"
 
-    def __call__(self, source: str) -> bool:
-        try:
-            program = load(source)
-        except ReproError:
-            return False
+    def __call__(self, candidate: Candidate) -> bool:
+        program = candidate.program
         findings = self.sanitizer.check_all(program, self.inputs, name=self.name)
         if not any(f.kind == self.kind for f in findings):
             return False

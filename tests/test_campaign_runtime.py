@@ -75,14 +75,31 @@ def _gen_signature(result) -> tuple:
 
 
 @pytest.fixture(scope="module")
-def serial(tmp_path_factory):
-    """The fault-free serial reference run: (result, corpus bytes)."""
+def serial_run(tmp_path_factory):
+    """The fault-free serial reference run: (result, corpus bytes, engine
+    stats)."""
     root = tmp_path_factory.mktemp("serial-corpus")
     bank = CorpusBank(root)
     with GenerativeCampaign(_options(), bank) as campaign:
         result = campaign.run()
     assert result.banked_new > 0, "reference campaign must bank something"
-    return result, _corpus_bytes(root)
+    return result, _corpus_bytes(root), campaign.engine.stats
+
+
+@pytest.fixture(scope="module")
+def serial(serial_run):
+    """The fault-free serial reference run: (result, corpus bytes)."""
+    return serial_run[:2]
+
+
+def _counters(stats) -> dict:
+    """``stats.snapshot()`` without the values measured in seconds."""
+    snap = stats.snapshot()
+    for row in snap["passes"].values():
+        del row["seconds"]
+    del snap["checkpoints"]["total_seconds"]
+    del snap["batches"]["latency_percentiles"]
+    return snap
 
 
 def _run_sharded(tmp_path, shards=2, policy=FAST, fault_plan=None, options=None):
@@ -162,6 +179,14 @@ def test_sharded_run_matches_serial_byte_for_byte(serial, tmp_path):
     assert shards == {"restarts": 0, "adoptions": 0, "seeds_quarantined": 0}
 
 
+def test_sharded_stats_match_serial(serial_run, tmp_path):
+    # Each shard's engine counters travel home in its result record.
+    _, _, serial_stats = serial_run
+    runtime, _, _ = _run_sharded(tmp_path)
+    assert serial_stats.total_executions > 0
+    assert _counters(runtime.stats) == _counters(serial_stats)
+
+
 def test_rerunning_a_finished_campaign_is_idempotent(serial, tmp_path):
     _, serial_bytes = serial
     _run_sharded(tmp_path)
@@ -181,8 +206,8 @@ def test_rerunning_a_finished_campaign_is_idempotent(serial, tmp_path):
     assert rerun.stats.snapshot()["shards"]["restarts"] == 0
 
 
-def test_crash_and_corrupt_faults_converge_to_serial(serial, tmp_path):
-    serial_result, serial_bytes = serial
+def test_crash_and_corrupt_faults_converge_to_serial(serial_run, tmp_path):
+    serial_result, serial_bytes, serial_stats = serial_run
     # Crash shard 0 at its second seed; corrupt shard 1's checkpoint at
     # its second seed (exercises the wipe-and-replay self-heal).
     plan = FaultPlan(once={1: "crash", 3: "corrupt"})
@@ -191,6 +216,11 @@ def test_crash_and_corrupt_faults_converge_to_serial(serial, tmp_path):
     assert _gen_signature(merged) == _gen_signature(serial_result)
     assert runtime.stats.snapshot()["shards"]["restarts"] == 2
     assert not runtime.quarantine
+    # The crashed shard resumed its checkpoint's counters, so the merged
+    # counters still equal the serial run's, recovery section aside.
+    counters, expected = _counters(runtime.stats), _counters(serial_stats)
+    del counters["shards"], expected["shards"]
+    assert counters == expected
 
 
 def test_hung_shard_is_killed_and_replayed(serial, tmp_path):

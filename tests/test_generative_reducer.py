@@ -11,20 +11,26 @@ output, checked in as stable bytes).  The invariants pinned here:
 * **effective** — the planted multi-function divergences reduce to at
   most 25 % of the original AST node count;
 * **budgeted** — ``step_budget`` caps accepted steps and reports the
-  reduction as not-at-fixpoint.
+  reduction as not-at-fixpoint;
+* **parsed once** — the reducer parses a candidate text once per test
+  of it, and the predicate's oracle question parses nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import repro.core.compdiff
+import repro.generative.reducer
 from repro.core.compdiff import CompDiff
 from repro.errors import ReproError
-from repro.generative import Reducer, StillDiverges
+from repro.generative import Candidate, Reducer, StillDiverges
 from repro.generative.reducer import single_step_variants
-from repro.minic import count_nodes, load
+from repro.minic import load
+from repro.parallel.cache import program_fingerprint
 
 pytestmark = [pytest.mark.generative, pytest.mark.slow]
 
@@ -39,23 +45,51 @@ def engine():
     return CompDiff()
 
 
+def interesting(predicate, source: str) -> bool:
+    return predicate(Candidate.parse(source))
+
+
 @pytest.fixture(scope="module", params=["planted_overflow_chain.c",
                                         "planted_interproc_uninit.c"])
 def reduced(request, engine):
-    """Reduce one committed fixture once; tests share the result."""
+    """Reduce one committed fixture once; tests share the result.
+
+    The reduction runs with ``load`` counted where the reducer and the
+    engine look it up, and with the predicate's calls counted: the third
+    item maps ``"reducer"``, ``"compdiff"`` and ``"tested"`` to a Counter
+    of texts."""
     source = (FIXTURES / request.param).read_text()
     assert len(load(source).functions()) >= 3, "fixture must be multi-function"
     predicate = StillDiverges(engine, [b""], name=request.param)
-    assert predicate(source), "fixture must diverge as committed"
-    result = Reducer(predicate).reduce(source)
-    return predicate, result
+    assert interesting(predicate, source), "fixture must diverge as committed"
+    parsed = {"reducer": Counter(), "compdiff": Counter(), "tested": Counter()}
+
+    def tested(candidate):
+        parsed["tested"][candidate.source] += 1
+        return predicate(candidate)
+
+    def counted(module, key):
+        original = module.load
+
+        def load_counted(text, *args, **kwargs):
+            parsed[key][text] += 1
+            return original(text, *args, **kwargs)
+
+        return load_counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, key in ((repro.generative.reducer, "reducer"),
+                            (repro.core.compdiff, "compdiff")):
+            patch.setattr(module, "load", counted(module, key))
+        result = Reducer(tested).reduce(source)
+    return predicate, result, parsed
 
 
 def test_reduction_reaches_fixpoint_and_bound(reduced):
-    predicate, result = reduced
+    predicate, result, _parsed = reduced
     assert result.reached_fixpoint
     assert result.steps, "a planted divergence must admit some reduction"
-    assert predicate(result.reduced_source)
+    assert interesting(predicate, result.reduced_source)
     assert result.reduced_nodes <= MAX_REDUCTION_RATIO * result.original_nodes, (
         f"only reduced {result.original_nodes} -> {result.reduced_nodes} nodes"
     )
@@ -64,17 +98,33 @@ def test_reduction_reaches_fixpoint_and_bound(reduced):
 def test_reduction_is_monotone(reduced):
     """Every accepted snapshot independently satisfies the predicate,
     and node counts never increase along the trace."""
-    predicate, result = reduced
+    predicate, result, _parsed = reduced
     nodes = result.original_nodes
     for step in result.steps:
         assert step.nodes_after <= step.nodes_before <= nodes
         nodes = step.nodes_after
-        assert predicate(step.source), f"non-monotone step: {step.description}"
+        assert interesting(predicate, step.source), f"non-monotone step: {step.description}"
     assert result.steps[-1].source == result.reduced_source
 
 
+def test_each_text_is_parsed_once_per_test(reduced, request):
+    """Candidates travel as parsed ASTs: the reducer parses a text once
+    per predicate test of it (once if it never parses), and the oracle
+    question parses nothing."""
+    _predicate, result, parsed = reduced
+    reducer, tested = parsed["reducer"], parsed["tested"]
+    assert sum(tested.values()) == result.tests_run + 1
+    overparsed = {
+        text: count for text, count in reducer.items() if count > max(tested[text], 1)
+    }
+    assert not overparsed, f"{len(overparsed)} texts parsed more often than tested"
+    if "planted_overflow_chain.c" in request.node.name:
+        assert sum(reducer.values()) <= len(reducer) + 1
+    assert not parsed["compdiff"], "diverges re-parsed the candidate text"
+
+
 def test_reduction_is_idempotent_at_fixpoint(reduced):
-    predicate, result = reduced
+    predicate, result, _parsed = reduced
     again = Reducer(predicate).reduce(result.reduced_source)
     assert again.steps == []
     assert again.reached_fixpoint
@@ -87,7 +137,7 @@ def test_step_budget_bounds_accepted_steps(engine):
     result = Reducer(predicate, step_budget=2).reduce(source)
     assert len(result.steps) == 2
     assert not result.reached_fixpoint
-    assert predicate(result.reduced_source)
+    assert interesting(predicate, result.reduced_source)
 
 
 def test_uninteresting_start_is_rejected(engine):
@@ -96,12 +146,22 @@ def test_uninteresting_start_is_rejected(engine):
         Reducer(predicate).reduce("int main(void) { return 0; }\n")
 
 
+def test_unparsable_text_never_reaches_the_predicate():
+    assert Reducer._apply("int main(void { broken") is None
+    assert Reducer._apply("int main(void) { return 0; }\n") is not None
+
+
 def test_single_step_variants_are_valid_programs():
-    """Every candidate the reducer can propose re-parses and re-checks."""
+    """Every candidate the reducer can propose re-parses and re-checks,
+    and carries the AST its own text parses to."""
     source = (FIXTURES / "planted_overflow_chain.c").read_text()
     count = 0
     for candidate in single_step_variants(source):
-        load(candidate)
+        assert isinstance(candidate, Candidate)
+        assert candidate.source != source
+        assert program_fingerprint(candidate.program) == program_fingerprint(
+            load(candidate.source)
+        )
         count += 1
         if count >= 40:
             break

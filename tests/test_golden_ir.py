@@ -12,6 +12,17 @@ example + Juliet seed corpus for all ten implementations:
   converging) pipeline.  The only intentional semantic change is the
   round bound; the idempotence and observation-equivalence tests below
   show the extra rounds are pure additional optimization.
+
+A third file, ``tests/golden/pass_schedules.json``, pins the standard
+pipeline's *schedule* over the same corpus: one digest per (program,
+implementation) of the rows ``(pass_name, scope, target, applied,
+changed, round)``.  A pass's change count decides when a fixpoint group
+stops, so a pass that miscounts changes can run extra rounds (or stop
+early) and still land on the same final IR; this file catches that.
+Regenerate it, only after an intended change to a pass's change count
+or the schedule::
+
+    PYTHONPATH=src python -m tests.test_golden_ir
 """
 
 from __future__ import annotations
@@ -57,8 +68,15 @@ def _digest(module) -> str:
     return hashlib.sha256(format_module(module).encode("utf-8")).hexdigest()[:16]
 
 
-@pytest.fixture(scope="module")
-def corpus():
+def _schedule_digest(report) -> str:
+    rows = [
+        [app.pass_name, app.scope, app.target, app.applied, app.changed, app.round]
+        for app in report.schedule
+    ]
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()[:16]
+
+
+def _golden_corpus():
     golden = json.loads((GOLDEN_DIR / "ir_digests.json").read_text())
     programs = _load_examples()
     suite = build_suite(scale=golden["juliet_scale"], seed=golden["juliet_seed"])
@@ -68,16 +86,50 @@ def corpus():
     return programs
 
 
+def standard_digests(programs) -> dict[str, dict[str, tuple[str, str]]]:
+    """Per program, per implementation: the (IR, schedule) digests of the
+    standard pipeline's build."""
+    digests: dict[str, dict[str, tuple[str, str]]] = {}
+    for key, source in programs.items():
+        row = digests[key] = {}
+        for config in DEFAULT_IMPLEMENTATIONS:
+            binary = compile_source(source, config, name=key)
+            row[config.name] = (_digest(binary.module), _schedule_digest(binary.pass_report))
+    return digests
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return _golden_corpus()
+
+
+@pytest.fixture(scope="module")
+def standard(corpus):
+    return standard_digests(corpus)
+
+
 class TestGoldenDigests:
-    def test_standard_pipeline_matches_committed_digests(self, corpus):
+    def test_standard_pipeline_matches_committed_digests(self, corpus, standard):
         golden = json.loads((GOLDEN_DIR / "ir_digests.json").read_text())["digests"]
         assert set(golden) == set(corpus)
-        mismatches = []
-        for key, source in corpus.items():
-            for config in DEFAULT_IMPLEMENTATIONS:
-                got = _digest(compile_source(source, config, name=key).module)
-                if golden[key][config.name] != got:
-                    mismatches.append((key, config.name))
+        mismatches = [
+            (key, config.name)
+            for key in corpus
+            for config in DEFAULT_IMPLEMENTATIONS
+            if golden[key][config.name] != standard[key][config.name][0]
+        ]
+        assert not mismatches, f"{len(mismatches)} drifted: {mismatches[:10]}"
+
+    def test_standard_pipeline_matches_committed_schedules(self, corpus, standard):
+        # The schedule, change counts included, not just the final IR.
+        golden = json.loads((GOLDEN_DIR / "pass_schedules.json").read_text())
+        assert set(golden) == set(corpus)
+        mismatches = [
+            (key, config.name)
+            for key in corpus
+            for config in DEFAULT_IMPLEMENTATIONS
+            if golden[key][config.name] != standard[key][config.name][1]
+        ]
         assert not mismatches, f"{len(mismatches)} drifted: {mismatches[:10]}"
 
     def test_two_round_pipeline_matches_prerefactor_digests(self, corpus):
@@ -142,3 +194,13 @@ class TestObservationEquivalence:
                 ) == (
                     converged.stdout, converged.exit_code, converged.status.value
                 ), f"{key} behavior changed under {config.name}"
+
+
+if __name__ == "__main__":
+    path = GOLDEN_DIR / "pass_schedules.json"
+    schedules = {
+        key: {name: digests[1] for name, digests in row.items()}
+        for key, row in standard_digests(_golden_corpus()).items()
+    }
+    path.write_text(json.dumps(schedules, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path}")

@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from repro.core.compdiff import CompDiff
+from repro.generative.reducer import Candidate
 from repro.sanitizers import AddressSanitizer, UndefinedBehaviorSanitizer
 from repro.sanitizers.base import SanitizerFinding
 from repro.sanval import (
@@ -44,6 +45,10 @@ def engine():
 
 def fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def candidate(name: str) -> Candidate:
+    return Candidate.parse(fixture(name))
 
 
 def by_sanitizer(verdicts):
@@ -194,10 +199,9 @@ class TestReductionPredicates:
             inputs=[b""],
             checkers=frozenset({"oob_access"}),
         )
-        assert predicate(fixture("asan_far_oob.c"))
+        assert predicate(candidate("asan_far_oob.c"))
         # The good twin has no confirmed oob and no divergence.
-        assert not predicate(fixture("asan_far_oob.good.c"))
-        assert not predicate("int main(void { broken")
+        assert not predicate(candidate("asan_far_oob.good.c"))
 
     def test_still_fires_holds_on_planted_fp(self, engine):
         predicate = SanitizerStillFires(
@@ -207,6 +211,6 @@ class TestReductionPredicates:
             inputs=[b""],
             kind="function-type-mismatch",
         )
-        assert predicate(fixture("ubsan_scope.good.c"))
+        assert predicate(candidate("ubsan_scope.good.c"))
         # The overflow program fires a different kind and is confirmed-UB.
-        assert not predicate(fixture("ubsan_scope.c"))
+        assert not predicate(candidate("ubsan_scope.c"))
