@@ -59,14 +59,18 @@ sancheck-baseline:
 chaos:
 	timeout 600 $(PYTHON) benchmarks/chaos_smoke.py
 
-# Bank identity: the two bank-writing benchmark workloads must bank the
-# keys and print the scoreboard digest recorded in perfbench/expected.json
-# (run.py exits 1 on any difference).  Traced runs: each also runs
-# untraced, and the traced run must reproduce the untraced identity with
-# every layer entry point wrapped.
+# Identity: every benchmark workload must reproduce the identity values
+# recorded in perfbench/expected.json (run.py exits 1 on any difference):
+# the bank keys and scoreboard digest of the two bank-writing workloads,
+# juliet-slice's Table 3 digest and zero-false-positive count, and
+# fuzz-tcpdump's campaign pins.  Traced runs: each also runs untraced,
+# and the traced run must reproduce the untraced identity with every
+# layer entry point wrapped.
 identity:
 	$(PYTHON) perfbench/run.py --workload generate-ub --trace 1
 	$(PYTHON) perfbench/run.py --workload sancheck-mixed --trace 1
+	$(PYTHON) perfbench/run.py --workload juliet-slice --trace 1
+	$(PYTHON) perfbench/run.py --workload fuzz-tcpdump --trace 1
 
 # Same suite with IR verification enabled after every compile (and,
 # with the pass manager, after every individual pass application).

@@ -129,6 +129,11 @@ class EngineStats:
     #: the IR into flat tables (once per binary per process).
     decode_hits: int = counter(COUNT, "executor", "decode_hits")
     decode_misses: int = counter(COUNT, "executor", "decode_misses")
+    #: Hot blocks compiled into generated functions (a block whose
+    #: function an earlier decode generated is reused, not counted).
+    blocks_compiled: int = counter(COUNT, "executor", "blocks_compiled")
+    #: Instructions retired inside compiled blocks.
+    compiled_instructions: int = counter(COUNT, "executor", "compiled_instructions")
     #: Executions carried by worker replies.
     executor_batch_runs: int = counter(COUNT, "executor", "batch_runs")
     #: Worker-measured wall-clock seconds, one sample per scatter task.

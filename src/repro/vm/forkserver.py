@@ -57,8 +57,8 @@ class ForkServer:
         self.fuel = fuel
         self.layout = ImageLayout(binary)
         self._verify = os.environ.get("REPRO_VERIFY_LOCKSTEP") == "1"
-        #: Optional EngineStats sink for runs and decodes; the counters
-        #: below are this server's own.
+        #: Optional EngineStats sink for runs, decodes and compiled
+        #: blocks; the counters below are this server's own.
         self.stats = stats
         self._decoded: DecodedProgram | None = None
         self.executions = 0
@@ -91,9 +91,13 @@ class ForkServer:
         if stats is not None:
             stats.lockstep_runs += 1
             stats.decode_hits += warm
+            blocks, instructions = decoded.blocks_compiled, decoded.compiled_instructions
         result = run_lockstep(
             decoded, input_bytes=input_bytes, fuel=use_fuel, coverage=coverage
         )
+        if stats is not None:
+            stats.blocks_compiled += decoded.blocks_compiled - blocks
+            stats.compiled_instructions += decoded.compiled_instructions - instructions
         if self._verify:
             self._cross_check(result, input_bytes, use_fuel, coverage)
         return result

@@ -8,8 +8,8 @@ attribute loads that never change between runs.  This module pays that
 cost once per *binary* instead of once per *execution*: each function is
 decoded into a flat instruction table of ``(step, instr)`` pairs whose
 step callables have operand register indices, frame-slot offsets, global
-addresses, and integer-op semantics pre-resolved, plus a
-``block_offsets`` map from labels to flat indices.  A
+addresses, and integer-op semantics pre-resolved, plus a ``blocks``
+map from labels to each block's flat index and hot-block state.  A
 :class:`LockstepMachine` then runs any number of inputs from the decoded
 form; each :class:`~repro.vm.forkserver.ForkServer` decodes its binary
 once and runs every input this way, and the oracle
@@ -19,13 +19,22 @@ through its k servers back to back.
 Byte-identity with the reference interpreter is the contract, not a
 goal: specialized steps are only emitted for unsanitized binaries and
 for operations whose reference semantics are trap-free; everything else
-(division, float arithmetic, calls, builtins, returns, and every
-instruction of a sanitized binary) executes through the *same* unbound
+(division, float arithmetic, calls, builtins, returns, and every step
+of a sanitized binary) executes through the *same* unbound
 ``Machine._op_*`` handlers the reference dispatch table uses.  Fuel is
 kept as a machine attribute — builtins charge per-byte fuel on the
 machine directly — and the per-instruction ordering (advance, count,
 burn fuel, check timeout, dispatch) matches ``Machine._loop`` exactly,
 so fuel-timeout boundaries land on the same instruction.
+
+Hot blocks, sanitized or not, leave the step table: once a block has
+been entered :data:`repro.vm.hotblocks.THRESHOLD` times it is compiled
+into one generated Python function with the block's sanitizer checks
+inlined (:mod:`repro.vm.hotblocks`), which ``LockstepMachine._loop``
+calls whenever the remaining fuel covers the whole block, charging the
+block's instructions at once.  Cold blocks, blocks the generator does
+not compile (calls, builtins, returns, float constants and arithmetic,
+division) and blocks near a fuel timeout run their steps.
 
 A coverage-instrumented binary (the fuzzer's B_fuzz) records the same
 AFL edges as the reference: its ``Jump`` and ``Branch`` decode into
@@ -64,6 +73,7 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.minic.types import FloatType, IntType, PointerType
+from repro.vm import hotblocks
 from repro.vm.execution import ExecutionResult, collect_result
 from repro.vm.machine import (
     DEFAULT_FUEL,
@@ -520,8 +530,23 @@ def _decode_instr(instr, layout: ImageLayout, frame_layout, sanitized: bool, lab
 _GENERIC_STEPS = frozenset(_DISPATCH.values())
 
 
+class _Block:
+    """One basic block of a :class:`DecodedFunction`: where its steps
+    start in ``code``, how many instructions it holds, how often it has
+    been entered, and ``run``: its compiled function once hot, False when
+    it cannot compile, None until then."""
+
+    __slots__ = ("offset", "size", "entries", "run")
+
+    def __init__(self, offset: int, size: int) -> None:
+        self.offset = offset
+        self.size = size
+        self.entries = 0
+        self.run = None
+
+
 class DecodedFunction:
-    """One function flattened: blocks concatenated, labels → flat offsets.
+    """One function flattened: blocks concatenated, labels → blocks.
 
     ``code`` holds ``(step, instr, sync)`` triples — ``sync`` marks
     shared reference handlers whose callees may charge fuel on the
@@ -529,15 +554,16 @@ class DecodedFunction:
     falling off its end raises the same "fell through without
     terminator" error as the reference loop — including when a ``Call``
     is the last instruction and the callee's return resumes the caller
-    at the block boundary.
+    at the block boundary.  ``blocks`` maps each label to its
+    :class:`_Block`.
     """
 
-    __slots__ = ("func", "code", "block_offsets")
+    __slots__ = ("func", "code", "blocks")
 
-    def __init__(self, func, code, block_offsets) -> None:
+    def __init__(self, func, code, blocks) -> None:
         self.func = func
         self.code = code
-        self.block_offsets = block_offsets
+        self.blocks = blocks
 
 
 def _decode_function(
@@ -550,20 +576,32 @@ def _decode_function(
         else None
     )
     code: list[tuple] = []
-    block_offsets: dict[str, int] = {}
+    blocks: dict[str, _Block] = {}
     for label, block in func.blocks.items():
-        block_offsets[label] = len(code)
+        blocks[label] = _Block(len(code), len(block.instrs))
         for instr in block.instrs:
             step = _decode_instr(instr, layout, frame_layout, sanitized, label_ids)
             code.append((step, instr, step in _GENERIC_STEPS))
         code.append((None, label, False))
-    return DecodedFunction(func, code, block_offsets)
+    return DecodedFunction(func, code, blocks)
 
 
 class DecodedProgram:
-    """A binary's IR decoded once, reusable across any number of inputs."""
+    """A binary's IR decoded once, reusable across any number of inputs.
 
-    __slots__ = ("binary", "layout", "functions", "instruction_count")
+    Also counts its hot-block work: ``blocks_compiled`` functions it
+    generated (blocks another decode already generated are reused, not
+    counted) and ``compiled_instructions`` retired inside them.
+    """
+
+    __slots__ = (
+        "binary",
+        "layout",
+        "functions",
+        "instruction_count",
+        "blocks_compiled",
+        "compiled_instructions",
+    )
 
     def __init__(self, binary: CompiledBinary, layout: ImageLayout | None = None) -> None:
         self.binary = binary
@@ -578,6 +616,31 @@ class DecodedProgram:
         self.instruction_count = sum(
             len(fn.code) for fn in self.functions.values()
         )
+        self.blocks_compiled = 0
+        self.compiled_instructions = 0
+
+    def compile_block(self, decoded: DecodedFunction, label: str) -> Callable | bool:
+        """Compile the hot block *label* of *decoded*: its function, or
+        False when the block stays on its steps (see ``repro.vm.hotblocks``)."""
+        block = decoded.blocks[label]
+        func = decoded.func
+        label_ids = None
+        if self.binary.instrument_coverage:
+            label_ids = {name: self.layout.label_ids[(func.name, name)] for name in func.blocks}
+        source = hotblocks.block_source(
+            func.blocks[label].instrs,
+            self.layout,
+            self.layout.frames.get(func.name),
+            self.binary.sanitizer,
+            label_ids,
+            func.blocks,
+        )
+        if source is None:
+            block.run = False
+        else:
+            block.run, generated = hotblocks.build(source)
+            self.blocks_compiled += generated
+        return block.run
 
 
 class _LFrame(_Frame):
@@ -607,10 +670,13 @@ class LockstepMachine(Machine):
             coverage=coverage,
         )
         self.decoded = decoded
+        #: Where a compiled block trapped: the 1-based position of the
+        #: raising instruction, stored by the block before it raises.
+        self._block_pos = 0
 
     def _push_call(self, callee: str, args: list, ret_reg, line: int) -> None:
-        # Mirrors Machine._push_call but builds an _LFrame positioned at
-        # the callee's decoded entry offset.
+        # Mirrors Machine._push_call but builds an _LFrame that _loop
+        # enters at the callee's entry block.
         func = self.module.functions.get(callee)
         if func is None:
             raise VMError(f"call to undefined function {callee!r}")
@@ -636,12 +702,8 @@ class LockstepMachine(Machine):
                 taints[i] = taint
         base, frame_layout = self.memory.push_frame(func.name, line)
         frame = _LFrame(func, regs, taints, base, frame_layout, ret_reg)
-        decoded = self.decoded.functions[callee]
-        offset = decoded.block_offsets.get(func.entry)
-        if offset is None:
-            raise VMError(f"missing block {func.entry} in {func.name}")
-        frame.decoded = decoded
-        frame.pc = offset
+        frame.decoded = self.decoded.functions[callee]
+        frame.pc = -1  # enter the block frame.label (the callee's entry)
         self._frames.append(frame)
         if self.coverage is not None:
             cur = self.layout.label_ids[(func.name, func.entry)]
@@ -655,15 +717,52 @@ class LockstepMachine(Machine):
         # (shared reference handlers — builtins charge per-byte fuel on
         # the machine directly) the local fuel is flushed and reloaded,
         # so timeout boundaries land on exactly the same instruction.
+        #
+        # A frame whose pc is -1 enters the block ``frame.label`` (after
+        # a call or a jump/branch).  Each entry counts toward the block's
+        # compilation; a compiled block runs as one call when the fuel
+        # covers all of it (``fuel > size``: no timeout can land inside),
+        # is charged its size at once, and hands over the next label.  A
+        # compiled block that traps is charged up to the trapping
+        # instruction, whose position it leaves in ``_block_pos``.
         frames = self._frames
+        program = self.decoded
+        threshold = hotblocks.THRESHOLD
         executed = self.executed
         fuel = self.fuel
+        compiled = 0
         try:
             while frames:
                 frame = frames[-1]
                 decoded = frame.decoded
                 code = decoded.code
                 pc = frame.pc
+                if pc < 0:
+                    blocks = decoded.blocks
+                    label = frame.label
+                    while True:
+                        block = blocks.get(label)
+                        if block is None:
+                            raise VMError(f"missing block {label} in {frame.func.name}")
+                        run = block.run
+                        if run is None:
+                            block.entries += 1
+                            if block.entries >= threshold:
+                                run = program.compile_block(decoded, label)
+                        if not run or fuel <= block.size:
+                            break
+                        try:
+                            label = run(self, frame)
+                        except (MemTrap, SanitizerStop):
+                            executed += self._block_pos
+                            fuel -= self._block_pos
+                            compiled += self._block_pos
+                            raise
+                        executed += block.size
+                        fuel -= block.size
+                        compiled += block.size
+                    frame.label = label
+                    pc = block.offset
                 while True:
                     step, arg, sync = code[pc]
                     if step is None:
@@ -683,21 +782,14 @@ class LockstepMachine(Machine):
                             break
                     elif step(self, frame, arg) is not None:
                         break
-                if frames and frames[-1] is frame:
-                    # Jump/Branch within the function: resolve the label.
-                    offset = decoded.block_offsets.get(frame.label)
-                    if offset is None:
-                        raise VMError(
-                            f"missing block {frame.label} in {frame.func.name}"
-                        )
-                    frame.pc = offset
-                else:
-                    # Call pushed a callee (resume after it on return) or
-                    # Ret popped this frame (pc write is then inert).
-                    frame.pc = pc
+                # Jump/Branch within the function: enter frame.label next.
+                # Otherwise a Call pushed a callee (resume after it on
+                # return) or Ret popped this frame (pc write is inert).
+                frame.pc = -1 if frames and frames[-1] is frame else pc
         finally:
             self.executed = executed
             self.fuel = fuel
+            program.compiled_instructions += compiled
 
 
 def run_lockstep(

@@ -317,6 +317,37 @@ class Memory:
         self.write(addr, raw, line)
 
     def read_cstring(self, addr: int, line: int = 0, limit: int = 1 << 16) -> bytes:
+        """The NUL-terminated string at *addr*, at most *limit* bytes.
+
+        Returns or raises exactly what reading it byte by byte with
+        :meth:`read` would (:meth:`_read_cstring_bytes`), but scans: it
+        locates the segment holding the next byte once, searches it for
+        the NUL with ``find`` up to the segment's end, and carries on at
+        the next address.
+        Only a scanned stretch that an asan poison interval overlaps is
+        read byte by byte.  (The segments never overlap, so every byte of
+        a stretch maps to the segment its first byte maps to.)
+        """
+        out = bytearray()
+        poisoned = self._asan and self._poison
+        while len(out) < limit:
+            cursor = addr + len(out)
+            if poisoned:
+                self._check_asan(cursor, 1, line, write=False)
+            segment, offset = self._locate(cursor, 1, line)
+            end = min(len(segment), offset + limit - len(out))
+            nul = segment.find(0, offset, end)
+            scanned = (end if nul < 0 else nul + 1) - offset
+            if poisoned and self._poisoned(cursor, cursor + scanned):
+                return self._read_cstring_bytes(addr, line, limit)
+            if nul >= 0:
+                out += segment[offset:nul]
+                return bytes(out)
+            out += segment[offset:end]
+        return bytes(out)
+
+    def _read_cstring_bytes(self, addr: int, line: int, limit: int) -> bytes:
+        """:meth:`read_cstring` by definition: one :meth:`read` per byte."""
         out = bytearray()
         for i in range(limit):
             byte = self.read(addr + i, 1, line)
@@ -443,6 +474,11 @@ class Memory:
         if index < len(self._poison_starts) and self._poison_starts[index] == start:
             self._poison_starts.pop(index)
             self._poison.pop(index)
+
+    def _poisoned(self, start: int, end: int) -> bool:
+        """Does any poison interval overlap [start, end)?"""
+        count = bisect.bisect_left(self._poison_starts, end)
+        return any(stop > start for _, stop, _ in self._poison[:count])
 
     def _check_asan(self, addr: int, size: int, line: int, write: bool) -> None:
         if not self._asan or not self._poison:

@@ -85,8 +85,8 @@ def _load_examples():
     return corpus
 
 
-@pytest.fixture(scope="module")
-def corpus():
+def golden_corpus() -> dict[str, str]:
+    """The golden compile corpus: the examples plus the golden Juliet slice."""
     golden = json.loads((GOLDEN_DIR / "ir_digests.json").read_text())
     programs = _load_examples()
     suite = build_suite(scale=golden["juliet_scale"], seed=golden["juliet_seed"])
@@ -94,6 +94,11 @@ def corpus():
         programs[f"juliet/{case.uid}/bad"] = case.bad_source
         programs[f"juliet/{case.uid}/good"] = case.good_source
     return programs
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return golden_corpus()
 
 
 class TestGoldenCorpusIdentity:

@@ -9,9 +9,12 @@ from repro.compiler.implementations import DEFAULT_IMPLEMENTATIONS
 from repro.ir.module import FrameSlot
 from repro.vm.memory import (
     HEAP_SIZE,
+    NULL_PAGE,
+    STACK_SIZE,
     ImageLayout,
     Memory,
     MemTrap,
+    SanitizerStop,
     order_globals,
     order_slots,
 )
@@ -252,3 +255,102 @@ class TestLayoutDivergenceEndToEnd:
         clang = [c for c in DEFAULT_IMPLEMENTATIONS if c.family == "clang"]
         assert len({c.stack_base for c in gcc}) == 1
         assert gcc[0].stack_base != clang[0].stack_base
+
+
+def _outcome(call):
+    """What *call* returns, or the type and fields of what it raises."""
+    try:
+        return ("ok", call())
+    except MemTrap as trap:
+        return ("trap", trap.kind, trap.addr, trap.line, trap.detail)
+    except SanitizerStop as stop:
+        return ("stop", stop.kind, stop.line, stop.detail)
+
+
+def _segments(memory):
+    return (
+        (memory.globals_base, memory.globals),
+        (memory.stack_base - STACK_SIZE, memory.stack),
+        (memory.heap_base, memory.heap),
+    )
+
+
+class TestReadCString:
+    """The scanning ``read_cstring`` against its per-byte definition."""
+
+    GLOBALS = 'char a[8] = "abc"; char b[5] = "xyz"; int main(void){ return a[0] + b[0]; }'
+
+    def assert_same(self, memory, addr, line=7, limit=1 << 16):
+        fast = _outcome(lambda: memory.read_cstring(addr, line, limit))
+        slow = _outcome(lambda: memory._read_cstring_bytes(addr, line, limit))
+        assert fast == slow, (hex(addr), limit)
+        return fast
+
+    @pytest.mark.parametrize("impl", [config.name for config in DEFAULT_IMPLEMENTATIONS])
+    def test_segments_never_overlap(self, impl):
+        # The scan relies on it: every byte of a stretch maps to the
+        # segment its first byte maps to.
+        memory = make_memory(impl)
+        spans = sorted(
+            (base, base + len(segment)) for base, segment in _segments(memory)
+        )
+        assert spans[0][0] >= NULL_PAGE
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end <= start
+
+    def test_asan_redzone_inside_the_string(self):
+        memory = make_memory(source=self.GLOBALS, sanitizer="asan")
+        start = memory.layout.global_addrs["a"]
+        memory.write(start, b"A" * 8)  # a[] unterminated: runs into a redzone
+        outcome = self.assert_same(memory, start)
+        assert outcome[:2] == ("stop", "global-buffer-overflow")
+
+    def test_string_running_off_a_segment(self):
+        memory = make_memory(source=self.GLOBALS)
+        end = memory.globals_base + len(memory.globals)
+        memory.globals[-6:] = b"Z" * 6
+        outcome = self.assert_same(memory, end - 6)
+        assert outcome == ("trap", "segv", end, 7, "unmapped address")
+
+    @pytest.mark.parametrize("addr", [0, 1, 4095, -8])
+    def test_null_page_and_negative_addresses(self, addr):
+        memory = make_memory()
+        assert self.assert_same(memory, addr)[0] == "trap"
+
+    def test_limit(self):
+        memory = make_memory()
+        memory.heap[: (1 << 16) + 10] = b"q" * ((1 << 16) + 10)
+        outcome = self.assert_same(memory, memory.heap_base)
+        assert outcome == ("ok", b"q" * (1 << 16))
+        assert self.assert_same(memory, memory.heap_base, limit=5) == ("ok", b"qqqqq")
+        assert self.assert_same(memory, memory.heap_base, limit=0) == ("ok", b"")
+
+    @pytest.mark.parametrize("sanitizer", [None, "asan", "msan"])
+    def test_randomized_layouts_match_per_byte_reads(self, sanitizer):
+        import random
+
+        rng = random.Random(20231020)
+        for _ in range(40):
+            memory = make_memory(rng.choice(["gcc-O0", "clang-O2"]), self.GLOBALS, sanitizer)
+            segments = _segments(memory)
+
+            def near_an_end(segment):
+                # An offset within 600 bytes of either end of the segment.
+                width = min(600, len(segment))
+                return rng.choice([rng.randrange(width), len(segment) - 1 - rng.randrange(width)])
+
+            for _base, segment in segments:
+                # Sparse NULs near both ends of every segment.
+                for _ in range(1200):
+                    segment[near_an_end(segment)] = 0 if rng.random() < 0.01 else rng.randrange(1, 256)
+            if sanitizer == "asan":
+                for _ in range(rng.randrange(12)):
+                    base, segment = rng.choice(segments)
+                    why = rng.choice(["heap-use-after-free", "stack-buffer-overflow"])
+                    memory._add_poison(base + near_an_end(segment), rng.randrange(1, 40), why)
+            for _ in range(30):
+                base, segment = rng.choice(segments)
+                limit = rng.choice([1 << 16, rng.randrange(700)])
+                self.assert_same(
+                    memory, base + near_an_end(segment), line=rng.randrange(50), limit=limit
+                )
